@@ -8,7 +8,7 @@
 //   if (!response.ok()) { /* recoverable: bad request, unknown op, budget too small */ }
 //   UsePlan(response->plan);
 //
-// Compared to the one-shot Partitioner facade this adds:
+// Beyond a one-shot search call (RecursivePartition, partition/recursive.h) a session adds:
 //   * hardware in the request path -- a DeviceTopology carries the worker count and the
 //     per-level link bandwidths (intra-group p2p vs. cross-group host links), so the
 //     recursive search weighs each step's bytes by the link it crosses and the response

@@ -145,6 +145,13 @@ inline void HashMixString(std::uint64_t* h, const std::string& s) {
 
 }  // namespace
 
+bool IsModelState(const Graph& graph, const TensorNode& t) {
+  if (t.is_param || t.is_opt_state || t.is_input) {
+    return true;
+  }
+  return t.grad_of != kNoTensor && graph.tensor(t.grad_of).is_param;
+}
+
 std::uint64_t GraphSignature(const Graph& graph) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   HashMix(&h, static_cast<std::uint64_t>(graph.num_tensors()));

@@ -129,6 +129,11 @@ class Graph {
   mutable std::deque<std::atomic<const OpSemantics*>> semantics_cache_;
 };
 
+// Persistent model state: weights, optimizer history, parameter gradients and graph
+// inputs. Pre-allocated for the whole iteration, never owned by a simulated kernel, and
+// never handed between pipeline stages.
+bool IsModelState(const Graph& graph, const TensorNode& t);
+
 // Structural validation: producer/consumer symmetry, shapes re-inferable through the
 // registry, gradient links well-formed. Aborts on violation (used by tests and builders).
 void ValidateGraph(const Graph& graph);

@@ -4,25 +4,27 @@
 
 namespace tofu {
 
-LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan) {
-  const int num_tensors = graph.num_tensors();
-  LivenessAnalysis live;
-  live.num_ops = graph.num_ops();
-
-  // Resolve in-place alias chains to one buffer per chain. Op ids are a topological
-  // order (AddOp appends and inputs must already exist), so one forward pass suffices.
-  live.buffer.resize(static_cast<size_t>(num_tensors));
-  for (TensorId t = 0; t < num_tensors; ++t) {
-    live.buffer[static_cast<size_t>(t)] = t;
+std::vector<TensorId> AliasRoots(const Graph& graph) {
+  // AddOp appends and its inputs must already exist, so inputs resolve before outputs.
+  std::vector<TensorId> root(static_cast<size_t>(graph.num_tensors()));
+  for (TensorId t = 0; t < graph.num_tensors(); ++t) {
+    root[static_cast<size_t>(t)] = t;
   }
   for (const OpNode& op : graph.ops()) {
     if (op.inplace_input >= 0 &&
         op.inplace_input < static_cast<int>(op.inputs.size())) {
-      live.buffer[static_cast<size_t>(op.output)] =
-          live.buffer[static_cast<size_t>(
-              op.inputs[static_cast<size_t>(op.inplace_input)])];
+      root[static_cast<size_t>(op.output)] =
+          root[static_cast<size_t>(op.inputs[static_cast<size_t>(op.inplace_input)])];
     }
   }
+  return root;
+}
+
+LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan) {
+  const int num_tensors = graph.num_tensors();
+  LivenessAnalysis live;
+  live.num_ops = graph.num_ops();
+  live.buffer = AliasRoots(graph);
 
   // Per buffer: shard bytes (aliases share storage; take the max member for safety),
   // allocation time (-1 = resident model state, a producer-less root), and the last op
@@ -57,9 +59,9 @@ std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan
   return total;
 }
 
-std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan) {
-  const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
-  const int num_tensors = graph.num_tensors();
+std::int64_t SweepPeakBytes(const LivenessAnalysis& live,
+                            const std::vector<std::int64_t>& transient) {
+  const int num_tensors = static_cast<int>(live.buffer.size());
   const int num_ops = live.num_ops;
 
   std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
@@ -70,7 +72,7 @@ std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& pla
       continue;  // alias, accounted under its root
     }
     if (live.IsModelState(b)) {
-      resident += live.buf_bytes[static_cast<size_t>(b)];  // model state: never freed
+      resident += live.buf_bytes[static_cast<size_t>(b)];  // never freed
       continue;
     }
     alloc_list[static_cast<size_t>(live.alloc_at[static_cast<size_t>(b)])].push_back(b);
@@ -79,15 +81,14 @@ std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& pla
     }
   }
 
-  // Program-order sweep: a buffer is charged while its producer runs (outputs coexist
-  // with still-live inputs) and credited after its last consumer completes.
   std::int64_t current = resident;
   std::int64_t peak = current;
   for (OpId k = 0; k < num_ops; ++k) {
     for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
       current += live.buf_bytes[static_cast<size_t>(b)];
     }
-    peak = std::max(peak, current);
+    const std::int64_t extra = transient.empty() ? 0 : transient[static_cast<size_t>(k)];
+    peak = std::max(peak, current + extra);
     for (TensorId b : free_list[static_cast<size_t>(k)]) {
       current -= live.buf_bytes[static_cast<size_t>(b)];
     }
@@ -95,9 +96,8 @@ std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& pla
   return peak;
 }
 
-const MemoryModel& DefaultMemoryModel() {
-  static const LivenessMemoryModel model;
-  return model;
+std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan) {
+  return SweepPeakBytes(AnalyzeLiveness(graph, plan));
 }
 
 }  // namespace tofu

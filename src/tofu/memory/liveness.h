@@ -1,7 +1,6 @@
-// Liveness-aware residency analysis for a partitioned graph, behind the MemoryModel
-// interface every layer consults. Moved here from partition/plan.cc so the search, the
-// session's feasibility verdict, the schedule repair pass, and the simulator all share
-// one buffer model:
+// Liveness-aware residency analysis for a partitioned graph. The search, the session's
+// feasibility verdict, the schedule repair pass, the hybrid stage peaks, and the
+// simulator all share one buffer model and one peak sweep:
 //
 //   - model state (inputs, weights, optimizer history -- every producer-less tensor)
 //     stays resident for the whole iteration;
@@ -41,47 +40,33 @@ struct LivenessAnalysis {
   }
 };
 
+// Alias-chain root of every tensor (root[t] == t for roots): an in-place output
+// (OpNode::inplace_input) shares its input's buffer. Op ids are a topological order, so
+// one forward pass resolves every chain.
+std::vector<TensorId> AliasRoots(const Graph& graph);
+
 // Resolves alias chains and computes every buffer's bytes and lifetime under `plan`'s
 // final tilings. Op ids are a topological order, so one forward pass suffices.
 LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan);
+
+// The program-order peak sweep every peak figure comes from (LivenessPeakShardBytes,
+// ScheduledPeakShardBytes in memory/schedule.h, the stage-restricted peaks of
+// pipeline/stage_cost.h). A root with alloc_at < 0 is charged for the whole iteration;
+// any other root from its allocating op until its free_at op completes, so outputs
+// coexist with still-live inputs. `transient[k]` (empty = none) adds bytes charged only
+// while op k runs.
+std::int64_t SweepPeakBytes(const LivenessAnalysis& live,
+                            const std::vector<std::int64_t>& transient = {});
 
 // Per-worker residency upper bound: every tensor's final shard resident at once, no
 // liveness or buffer-reuse credit. Schedule-independent, hence conservative.
 std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan);
 
 // Liveness-aware per-worker peak for a program-order schedule with everything
-// resident. Always <= AllResidentShardBytes; this is what the session's budget check
-// and feasibility verdict use.
+// resident: SweepPeakBytes over AnalyzeLiveness, which is ScheduledPeakShardBytes with
+// an empty schedule. Always <= AllResidentShardBytes; this is what the session's budget
+// check and feasibility verdict use.
 std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan);
-
-// The interface the planner layers program against. The default model is the liveness
-// sweep above; ScheduledMemoryModel (memory/schedule.h) prices plans that carry a
-// MemorySchedule.
-class MemoryModel {
- public:
-  virtual ~MemoryModel() = default;
-  // Per-worker peak resident bytes of `plan` on `graph`.
-  virtual std::int64_t PeakShardBytes(const Graph& graph,
-                                      const PartitionPlan& plan) const = 0;
-  // Schedule-independent upper bound (everything resident at once).
-  virtual std::int64_t AllResidentBytes(const Graph& graph,
-                                        const PartitionPlan& plan) const = 0;
-};
-
-class LivenessMemoryModel final : public MemoryModel {
- public:
-  std::int64_t PeakShardBytes(const Graph& graph,
-                              const PartitionPlan& plan) const override {
-    return LivenessPeakShardBytes(graph, plan);
-  }
-  std::int64_t AllResidentBytes(const Graph& graph,
-                                const PartitionPlan& plan) const override {
-    return AllResidentShardBytes(graph, plan);
-  }
-};
-
-// Process-wide default (stateless, hence shareable).
-const MemoryModel& DefaultMemoryModel();
 
 }  // namespace tofu
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "tofu/sim/lowering.h"
 #include "tofu/util/strings.h"
 
 namespace tofu {
@@ -44,35 +45,6 @@ std::string MemoryPricing::Fingerprint() const {
 }
 
 namespace {
-
-// One shard-kernel run of `op` under `plan` -- the sim/lowering.cc recipe (registry
-// flops at full shapes scaled by the balanced work fraction, kernel efficiency from
-// the shard's row extent) mirrored here so recompute pricing matches what the event
-// simulator would charge for the re-run.
-double RecomputeShardSeconds(const Graph& graph, const PartitionPlan& plan,
-                             const OpNode& op, const ClusterSpec& cluster) {
-  OpRegistry& registry = OpRegistry::Get();
-  const double work_fraction = 1.0 / static_cast<double>(std::max(1, plan.num_workers));
-  const OpClass cls = registry.Info(op.type).op_class;
-  const double flops = registry.Flops(op.type, graph.InputShapes(op),
-                                      graph.tensor(op.output).shape, op.attrs) *
-                       work_fraction;
-  double bytes = static_cast<double>(graph.tensor(op.output).bytes());
-  for (TensorId in : op.inputs) {
-    bytes += static_cast<double>(graph.tensor(in).bytes());
-  }
-  bytes *= work_fraction;
-  const Shape out_shape =
-      plan.steps.empty() ? graph.tensor(op.output).shape : plan.ShardShape(graph, op.output);
-  double rows = out_shape.empty() ? 1.0 : static_cast<double>(out_shape[0]);
-  if (out_shape.size() >= 3 && cls == OpClass::kMatmul) {
-    rows = 1.0;
-    for (size_t d = 0; d + 1 < out_shape.size(); ++d) {
-      rows *= static_cast<double>(out_shape[d]);
-    }
-  }
-  return KernelSeconds(cluster.gpu, cls, flops, bytes, std::max(rows, 1.0));
-}
 
 struct Candidate {
   TensorId root = 0;
@@ -121,6 +93,7 @@ RepairResult BuildRepairSchedule(const Graph& graph, const PartitionPlan& plan,
   const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
   const std::int64_t baseline_peak = LivenessPeakShardBytes(graph, plan);
   const double host_bw = pricing.HostBandwidth();
+  const double work_fraction = 1.0 / static_cast<double>(std::max(1, plan.num_workers));
   const int num_tensors = graph.num_tensors();
 
   // Which roots head an in-place alias chain with more than one member: a single
@@ -148,9 +121,14 @@ RepairResult BuildRepairSchedule(const Graph& graph, const PartitionPlan& plan,
     c.root = b;
     c.bytes = bytes;
     if (can_recompute) {
+      // One extra shard-kernel run of the producer at the plan's shard granularity.
+      const OpNode& producer = graph.op(graph.tensor(b).producer);
+      const Shape out_shape = plan.steps.empty() ? graph.tensor(b).shape
+                                                 : plan.ShardShape(graph, b);
       c.residency = Residency::kRecompute;
-      c.overhead_seconds = RecomputeShardSeconds(
-          graph, plan, graph.op(graph.tensor(b).producer), pricing.cluster);
+      c.overhead_seconds =
+          ShardKernelSeconds(pricing.cluster.gpu, FullOpWork(graph, producer),
+                             work_fraction, EfficiencyRows(producer, out_shape));
     }
     if (can_swap && (!can_recompute || swap_seconds < c.overhead_seconds)) {
       c.residency = Residency::kSwap;

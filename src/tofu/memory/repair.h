@@ -9,8 +9,8 @@
 //   swap:      one swap-out + one swap-in over the host link
 //              (2 * (link latency + shard_bytes / host_bandwidth)), available to any
 //              buffer including resident model state;
-//   recompute: one extra shard-kernel run of the producer (the sim/lowering.cc
-//              recipe: registry flops * work fraction at the plan's shard
+//   recompute: one extra shard-kernel run of the producer, priced by the simulator's
+//              own oracle (sim/lowering.h ShardKernelSeconds at the plan's shard
 //              granularity), available to produced, non-aliased buffers only --
 //              an in-place chain accumulates state that a single producer re-run
 //              cannot reconstruct.

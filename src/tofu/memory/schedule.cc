@@ -18,9 +18,8 @@ const char* ResidencyName(Residency residency) {
 
 std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                      const MemorySchedule& schedule) {
-  const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
+  LivenessAnalysis live = AnalyzeLiveness(graph, plan);
   const int num_tensors = graph.num_tensors();
-  const int num_ops = live.num_ops;
 
   std::vector<bool> offloaded(static_cast<size_t>(num_tensors), false);
   for (const MemoryDecision& d : schedule.decisions) {
@@ -33,89 +32,31 @@ std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& pl
   // Resident buffers keep their liveness intervals; offloaded buffers are charged
   // transiently at each op that touches the buffer (its allocating producer and every
   // consumer of any alias in the chain), since between touches they live on the host
-  // (kSwap) or not at all (kRecompute).
-  std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
-  std::vector<std::vector<TensorId>> free_list(static_cast<size_t>(num_ops));
-  std::vector<std::int64_t> transient(static_cast<size_t>(num_ops), 0);
-  std::int64_t resident = 0;
+  // (kSwap) or not at all (kRecompute). One pass over ops collects the touch sets: op k
+  // touches the roots of its inputs and of its output (an in-place output's root is
+  // already among its inputs', a fresh output's root is allocated by k).
+  std::vector<std::int64_t> transient(static_cast<size_t>(live.num_ops), 0);
+  std::vector<TensorId> touched;
+  for (const OpNode& op : graph.ops()) {
+    touched.clear();
+    for (TensorId in : op.inputs) {
+      touched.push_back(live.buffer[static_cast<size_t>(in)]);
+    }
+    touched.push_back(live.buffer[static_cast<size_t>(op.output)]);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (TensorId b : touched) {
+      if (offloaded[static_cast<size_t>(b)]) {
+        transient[static_cast<size_t>(op.id)] += live.buf_bytes[static_cast<size_t>(b)];
+      }
+    }
+  }
   for (TensorId b = 0; b < num_tensors; ++b) {
-    if (!live.IsRoot(b)) {
-      continue;
-    }
-    const std::int64_t bytes = live.buf_bytes[static_cast<size_t>(b)];
-    if (!offloaded[static_cast<size_t>(b)]) {
-      if (live.IsModelState(b)) {
-        resident += bytes;
-        continue;
-      }
-      alloc_list[static_cast<size_t>(live.alloc_at[static_cast<size_t>(b)])]
-          .push_back(b);
-      if (live.free_at[static_cast<size_t>(b)] < num_ops) {
-        free_list[static_cast<size_t>(live.free_at[static_cast<size_t>(b)])]
-            .push_back(b);
-      }
-      continue;
-    }
-    // Offloaded: materialized only at touching ops. Collect the touch set across the
-    // alias chain once per root (dedup via a charged-at marker per op).
-    std::vector<bool> charged(static_cast<size_t>(num_ops), false);
-    const int alloc = live.alloc_at[static_cast<size_t>(b)];
-    if (alloc >= 0 && alloc < num_ops) {
-      charged[static_cast<size_t>(alloc)] = true;
-    }
-    for (TensorId t = 0; t < num_tensors; ++t) {
-      if (live.buffer[static_cast<size_t>(t)] != b) {
-        continue;
-      }
-      for (OpId c : graph.tensor(t).consumers) {
-        if (c >= 0 && c < num_ops) {
-          charged[static_cast<size_t>(c)] = true;
-        }
-      }
-    }
-    for (OpId k = 0; k < num_ops; ++k) {
-      if (charged[static_cast<size_t>(k)]) {
-        transient[static_cast<size_t>(k)] += bytes;
-      }
+    if (offloaded[static_cast<size_t>(b)]) {
+      live.buf_bytes[static_cast<size_t>(b)] = 0;  // charged only through `transient`
     }
   }
-
-  std::int64_t current = resident;
-  std::int64_t peak = current;
-  for (OpId k = 0; k < num_ops; ++k) {
-    for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
-      current += live.buf_bytes[static_cast<size_t>(b)];
-    }
-    peak = std::max(peak, current + transient[static_cast<size_t>(k)]);
-    for (TensorId b : free_list[static_cast<size_t>(k)]) {
-      current -= live.buf_bytes[static_cast<size_t>(b)];
-    }
-  }
-  return peak;
-}
-
-namespace {
-
-class ScheduleAwareModel final : public MemoryModel {
- public:
-  std::int64_t PeakShardBytes(const Graph& graph,
-                              const PartitionPlan& plan) const override {
-    if (plan.memory_schedule != nullptr) {
-      return ScheduledPeakShardBytes(graph, plan, *plan.memory_schedule);
-    }
-    return LivenessPeakShardBytes(graph, plan);
-  }
-  std::int64_t AllResidentBytes(const Graph& graph,
-                                const PartitionPlan& plan) const override {
-    return AllResidentShardBytes(graph, plan);
-  }
-};
-
-}  // namespace
-
-const MemoryModel& ScheduleAwareMemoryModel() {
-  static const ScheduleAwareModel model;
-  return model;
+  return SweepPeakBytes(live, transient);
 }
 
 }  // namespace tofu

@@ -80,15 +80,10 @@ struct MemorySchedule {
 // Liveness peak under `schedule`: resident buffers are charged over their whole
 // lifetime as in LivenessPeakShardBytes, while recomputed/swapped buffers are charged
 // only at the ops that touch them (their producer and each consumer of any alias).
-// Marking every buffer non-resident yields the minimum achievable peak: the largest
-// single-op working set.
+// An empty schedule gives exactly LivenessPeakShardBytes; marking every buffer
+// non-resident yields the minimum achievable peak: the largest single-op working set.
 std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                      const MemorySchedule& schedule);
-
-// MemoryModel that honours a plan's attached schedule and degrades to the plain
-// liveness sweep for plans without one. This is what the session's budget verdict
-// uses once the repair pass can attach schedules.
-const MemoryModel& ScheduleAwareMemoryModel();
 
 }  // namespace tofu
 

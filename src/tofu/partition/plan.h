@@ -106,7 +106,7 @@ std::vector<int> FactorizeWorkers(int num_workers);
 
 // Shard-byte accounting (ShardBytesForCut and friends) lives in memory/bytes.h; the
 // liveness peak and the all-resident bound (AllResidentShardBytes,
-// LivenessPeakShardBytes) live in memory/liveness.h behind the MemoryModel interface.
+// LivenessPeakShardBytes) live in memory/liveness.h.
 
 }  // namespace tofu
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "tofu/sim/event_sim.h"
 #include "tofu/util/logging.h"
 
 namespace tofu {
@@ -28,11 +29,17 @@ double Simulate1F1BSeconds(const PipelinePlan& plan) {
   const int M = std::max(plan.micro_batches, 1);
   TOFU_CHECK_GE(S, 1);
 
-  constexpr double kUnknown = -1.0;
-  std::vector<std::vector<double>> fwd_done(
-      static_cast<size_t>(S), std::vector<double>(static_cast<size_t>(M), kUnknown));
-  std::vector<std::vector<double>> bwd_done(
-      static_cast<size_t>(S), std::vector<double>(static_cast<size_t>(M), kUnknown));
+  // Lowered onto the event simulator: stage s is device s's compute stream, its 1F1B
+  // sequence is a dependency chain, and each boundary hand-off is a zero-byte link node
+  // whose post_delay_s is the transfer time (zero bytes never occupy the link, so
+  // hand-offs overlap freely, as the stage-to-stage transfers do).
+  SimGraph sim;
+  sim.num_devices = S;
+  sim.link_bandwidths = {1.0};
+  // Node ids of each stage's forward / backward of every micro-batch; -1 until emitted.
+  std::vector<std::vector<std::int32_t>> fwd_node(
+      static_cast<size_t>(S), std::vector<std::int32_t>(static_cast<size_t>(M), -1));
+  std::vector<std::vector<std::int32_t>> bwd_node = fwd_node;
 
   // Static per-stage 1F1B sequence: warmup forwards, then backward m / forward
   // m + warmup pairs. Encoded as (is_backward, micro) items.
@@ -56,63 +63,57 @@ double Simulate1F1BSeconds(const PipelinePlan& plan) {
     TOFU_CHECK_EQ(seq.size(), static_cast<size_t>(2 * M));
   }
 
-  // Execute: repeatedly scan stages and run the next item whose dependencies are known.
-  // Each full scan completes at least one item (the deepest runnable stage's), so this
-  // terminates in at most (2 M S) scans.
+  // RunSim wants every dependency emitted first: sweep the stages, emitting each one's
+  // sequence up to the first item whose cross-stage producer is not emitted yet. Every
+  // sweep emits at least one item (the deepest runnable stage's), so at most 2 M S
+  // sweeps run.
   std::vector<size_t> next(static_cast<size_t>(S), 0);
-  std::vector<double> stage_free(static_cast<size_t>(S), 0.0);
-  double makespan = 0.0;
-  int remaining = 2 * M * S;
-  while (remaining > 0) {
+  std::vector<std::int32_t> last_on_stage(static_cast<size_t>(S), -1);
+  for (int remaining = 2 * M * S; remaining > 0;) {
     bool progressed = false;
     for (int s = 0; s < S; ++s) {
-      while (next[static_cast<size_t>(s)] < sequence[static_cast<size_t>(s)].size()) {
-        const Item item = sequence[static_cast<size_t>(s)][next[static_cast<size_t>(s)]];
-        const PipelineStage& stage = plan.stages[static_cast<size_t>(s)];
-        double ready = 0.0;
-        double duration = 0.0;
-        if (!item.backward) {
-          if (s > 0) {
-            const double upstream =
-                fwd_done[static_cast<size_t>(s - 1)][static_cast<size_t>(item.micro)];
-            if (upstream == kUnknown) {
-              break;
-            }
-            ready = upstream +
-                    plan.stages[static_cast<size_t>(s - 1)].transfer_fwd_seconds;
-          }
-          duration = stage.fwd_seconds;
-        } else {
-          const double own_fwd =
-              fwd_done[static_cast<size_t>(s)][static_cast<size_t>(item.micro)];
-          if (own_fwd == kUnknown) {
+      const PipelineStage& stage = plan.stages[static_cast<size_t>(s)];
+      for (size_t& i = next[static_cast<size_t>(s)];
+           i < sequence[static_cast<size_t>(s)].size(); ++i) {
+        const Item item = sequence[static_cast<size_t>(s)][i];
+        // The hand-off this item waits for: the previous stage's forward (activations)
+        // or the next stage's backward (gradients) of the same micro-batch.
+        const bool has_handoff = item.backward ? s < S - 1 : s > 0;
+        SimNode work;
+        work.device = s;
+        work.duration_s = item.backward ? stage.bwd_seconds : stage.fwd_seconds;
+        if (last_on_stage[static_cast<size_t>(s)] >= 0) {
+          work.deps.push_back(last_on_stage[static_cast<size_t>(s)]);
+        }
+        if (has_handoff) {
+          const int peer = item.backward ? s + 1 : s - 1;
+          const std::int32_t upstream =
+              (item.backward ? bwd_node : fwd_node)[static_cast<size_t>(peer)]
+                                                   [static_cast<size_t>(item.micro)];
+          if (upstream < 0) {
             break;
           }
-          ready = own_fwd;
-          if (s < S - 1) {
-            const double downstream =
-                bwd_done[static_cast<size_t>(s + 1)][static_cast<size_t>(item.micro)];
-            if (downstream == kUnknown) {
-              break;
-            }
-            ready = std::max(ready, downstream + stage.transfer_bwd_seconds);
-          }
-          duration = stage.bwd_seconds;
+          SimNode handoff;
+          handoff.kind = SimNode::Kind::kLink;
+          handoff.device = s;
+          handoff.link = 0;
+          handoff.post_delay_s =
+              item.backward ? stage.transfer_bwd_seconds
+                            : plan.stages[static_cast<size_t>(peer)].transfer_fwd_seconds;
+          handoff.deps = {upstream};
+          work.deps.push_back(sim.Add(std::move(handoff)));
         }
-        const double start = std::max(ready, stage_free[static_cast<size_t>(s)]);
-        const double finish = start + duration;
-        stage_free[static_cast<size_t>(s)] = finish;
-        makespan = std::max(makespan, finish);
-        (item.backward ? bwd_done : fwd_done)[static_cast<size_t>(s)]
-                                             [static_cast<size_t>(item.micro)] = finish;
-        ++next[static_cast<size_t>(s)];
+        const std::int32_t id = sim.Add(std::move(work));
+        last_on_stage[static_cast<size_t>(s)] = id;
+        (item.backward ? bwd_node : fwd_node)[static_cast<size_t>(s)]
+                                             [static_cast<size_t>(item.micro)] = id;
         --remaining;
         progressed = true;
       }
     }
     TOFU_CHECK(progressed);  // a stall here would mean a dependency cycle
   }
-  return makespan;
+  return RunSim(sim, ClusterSpec{}).makespan_s;
 }
 
 }  // namespace tofu

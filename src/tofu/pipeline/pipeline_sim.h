@@ -21,8 +21,11 @@ namespace tofu {
 // stored figure.
 double AnalyticPipelineSeconds(const PipelinePlan& plan);
 
-// Event-driven makespan of the 1F1B schedule above. Deterministic; >= the analytic
-// bound by construction (the bound relaxes stage contention and schedule order).
+// Makespan of the 1F1B schedule above, lowered onto the event simulator (sim/event_sim.h
+// RunSim): each stage is one device compute stream, each stage's sequence a dependency
+// chain, and each boundary hand-off a zero-byte link node delayed by the transfer time.
+// Deterministic; >= the analytic bound by construction (the bound relaxes stage
+// contention and schedule order).
 double Simulate1F1BSeconds(const PipelinePlan& plan);
 
 }  // namespace tofu

@@ -2,38 +2,10 @@
 
 #include <algorithm>
 
+#include "tofu/memory/liveness.h"
 #include "tofu/util/logging.h"
 
 namespace tofu {
-namespace {
-
-// Same driver extent sim/lowering.cc uses: batched GEMMs count every non-innermost
-// dimension as rows; everything else keys off the leading (batch) dimension.
-double FullEfficiencyRows(const OpNode& op, const Shape& out_shape) {
-  if (out_shape.empty()) {
-    return 1.0;
-  }
-  if (out_shape.size() >= 3 &&
-      OpRegistry::Get().Info(op.type).op_class == OpClass::kMatmul) {
-    double rows = 1.0;
-    for (size_t d = 0; d + 1 < out_shape.size(); ++d) {
-      rows *= static_cast<double>(out_shape[d]);
-    }
-    return rows;
-  }
-  return static_cast<double>(out_shape[0]);
-}
-
-// Persistent model state: never pipelined between stages and resident on its stage's
-// workers for the whole iteration. Mirrors sim/lowering.cc's IsResident.
-bool IsModelState(const Graph& graph, const TensorNode& t) {
-  if (t.is_param || t.is_opt_state || t.is_input) {
-    return true;
-  }
-  return t.grad_of != kNoTensor && graph.tensor(t.grad_of).is_param;
-}
-
-}  // namespace
 
 std::vector<int> OpGroupIndex(const Graph& graph, const CoarseGraph& coarse) {
   std::vector<int> group(static_cast<size_t>(graph.num_ops()), -1);
@@ -93,22 +65,14 @@ StageCostModel::StageCostModel(const Graph& graph, const CoarseGraph& coarse,
                                ClusterSpec cluster)
     : num_groups_(static_cast<int>(coarse.groups.size())), cluster_(cluster) {
   const std::vector<int> group = OpGroupIndex(graph, coarse);
-  OpRegistry& registry = OpRegistry::Get();
 
   ops_.reserve(static_cast<size_t>(graph.num_ops()));
   for (const OpNode& op : graph.ops()) {
     OpCost cost;
     cost.group = group[static_cast<size_t>(op.id)];
     cost.backward = op.is_backward || op.is_update || op.is_grad_agg;
-    cost.op_class = registry.Info(op.type).op_class;
-    cost.flops = registry.Flops(op.type, graph.InputShapes(op),
-                                graph.tensor(op.output).shape, op.attrs);
-    double bytes = static_cast<double>(graph.tensor(op.output).bytes());
-    for (TensorId in : op.inputs) {
-      bytes += static_cast<double>(graph.tensor(in).bytes());
-    }
-    cost.bytes = bytes;
-    cost.rows = FullEfficiencyRows(op, graph.tensor(op.output).shape);
+    cost.work = FullOpWork(graph, op);
+    cost.rows = EfficiencyRows(op, graph.tensor(op.output).shape);
     ops_.push_back(cost);
   }
 
@@ -183,11 +147,8 @@ void StageCostModel::PerGroupPassSeconds(int workers, int micro_batches,
   const double work_fraction =
       1.0 / (static_cast<double>(workers) * static_cast<double>(micro_batches));
   for (const OpCost& op : ops_) {
-    const double rows =
-        std::max(op.rows / static_cast<double>(micro_batches), 1.0);
-    const double seconds = KernelSeconds(cluster_.gpu, op.op_class,
-                                         op.flops * work_fraction,
-                                         op.bytes * work_fraction, rows);
+    const double seconds = ShardKernelSeconds(
+        cluster_.gpu, op.work, work_fraction, op.rows / static_cast<double>(micro_batches));
     std::vector<double>& pass = op.backward ? *bwd : *fwd;
     pass[static_cast<size_t>(op.group)] += seconds;
   }
@@ -215,41 +176,30 @@ std::int64_t StageCostModel::StateBytes(int first, int last) const {
 
 namespace {
 
-// Shared sweep for the two stage-restricted memory figures. Follows
-// LivenessPeakShardBytes (partition/plan.cc) with a stage mask: a buffer counts only if
-// some alias is produced by an in-stage op, is producer-less state consumed in-stage, or
-// is an incoming boundary activation (off-stage producer, in-stage consumer) -- the
-// latter two stay resident for the whole pass.
-std::int64_t StageSweep(const Graph& graph, const PartitionPlan& plan,
-                        const std::vector<char>& op_in_stage, bool all_resident) {
+// The stage-restricted buffer model behind both stage memory figures: AnalyzeLiveness
+// (memory/liveness.h) with a stage mask. A buffer counts only if some alias is produced
+// by an in-stage op, is producer-less state consumed in-stage, or is an incoming
+// boundary activation (off-stage producer, in-stage consumer) -- the latter two stay
+// resident for the whole pass. Buffers no stage worker materializes keep zero bytes.
+LivenessAnalysis StageLiveness(const Graph& graph, const PartitionPlan& plan,
+                               const std::vector<char>& op_in_stage) {
   const int num_tensors = graph.num_tensors();
   const int num_ops = graph.num_ops();
   TOFU_CHECK_EQ(op_in_stage.size(), static_cast<size_t>(num_ops));
-
-  std::vector<TensorId> buffer(static_cast<size_t>(num_tensors));
-  for (TensorId t = 0; t < num_tensors; ++t) {
-    buffer[static_cast<size_t>(t)] = t;
-  }
-  for (const OpNode& op : graph.ops()) {
-    if (op.inplace_input >= 0 &&
-        op.inplace_input < static_cast<int>(op.inputs.size())) {
-      buffer[static_cast<size_t>(op.output)] =
-          buffer[static_cast<size_t>(op.inputs[static_cast<size_t>(op.inplace_input)])];
-    }
-  }
-
   auto in_stage = [&](OpId o) { return op_in_stage[static_cast<size_t>(o)] != 0; };
 
-  // Per buffer root: shard bytes, whether a stage worker materializes it, and -- for
-  // stage-produced buffers -- alloc / free positions among in-stage ops only.
-  std::vector<std::int64_t> buf_bytes(static_cast<size_t>(num_tensors), 0);
-  std::vector<char> materialized(static_cast<size_t>(num_tensors), 0);
-  std::vector<int> alloc_at(static_cast<size_t>(num_tensors), -1);
-  std::vector<int> free_at(static_cast<size_t>(num_tensors), -1);
+  LivenessAnalysis live;
+  live.num_ops = num_ops;
+  live.buffer = AliasRoots(graph);
+  live.buf_bytes.assign(static_cast<size_t>(num_tensors), 0);
+  live.alloc_at.assign(static_cast<size_t>(num_tensors), -1);
+  live.free_at.assign(static_cast<size_t>(num_tensors), -1);
+  // Alloc / free positions count in-stage ops only.
   for (TensorId t = 0; t < num_tensors; ++t) {
     const TensorNode& node = graph.tensor(t);
-    const TensorId b = buffer[static_cast<size_t>(t)];
-    bool touches_stage = node.producer != kNoOp && in_stage(node.producer);
+    const TensorId b = live.buffer[static_cast<size_t>(t)];
+    const bool produced_here = node.producer != kNoOp && in_stage(node.producer);
+    bool touches_stage = produced_here;
     int last_use = -1;
     for (OpId c : node.consumers) {
       if (in_stage(c)) {
@@ -260,73 +210,38 @@ std::int64_t StageSweep(const Graph& graph, const PartitionPlan& plan,
     if (!touches_stage) {
       continue;
     }
-    buf_bytes[static_cast<size_t>(b)] =
-        std::max(buf_bytes[static_cast<size_t>(b)], plan.ShardBytes(graph, t));
-    materialized[static_cast<size_t>(b)] = 1;
+    live.buf_bytes[static_cast<size_t>(b)] =
+        std::max(live.buf_bytes[static_cast<size_t>(b)], plan.ShardBytes(graph, t));
     if (t == b) {
       // Resident for the stage: producer-less state, and incoming boundary activations
       // (the producer runs on another stage's workers; the shard arrives before the
       // stage's pass and is pinned until its gradient leaves).
-      alloc_at[static_cast<size_t>(b)] =
-          node.producer != kNoOp && in_stage(node.producer) ? node.producer : -1;
+      live.alloc_at[static_cast<size_t>(b)] = produced_here ? node.producer : -1;
     }
-    if (last_use < 0 && node.producer != kNoOp && in_stage(node.producer)) {
+    if (last_use < 0 && produced_here) {
       last_use = num_ops;  // produced here, consumed elsewhere: pinned until hand-off
     }
-    free_at[static_cast<size_t>(b)] = std::max(free_at[static_cast<size_t>(b)], last_use);
+    live.free_at[static_cast<size_t>(b)] =
+        std::max(live.free_at[static_cast<size_t>(b)], last_use);
   }
-
-  if (all_resident) {
-    std::int64_t total = 0;
-    for (TensorId b = 0; b < num_tensors; ++b) {
-      if (buffer[static_cast<size_t>(b)] == b && materialized[static_cast<size_t>(b)]) {
-        total += buf_bytes[static_cast<size_t>(b)];
-      }
-    }
-    return total;
-  }
-
-  std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
-  std::vector<std::vector<TensorId>> free_list(static_cast<size_t>(num_ops));
-  std::int64_t resident = 0;
-  for (TensorId b = 0; b < num_tensors; ++b) {
-    if (buffer[static_cast<size_t>(b)] != b || !materialized[static_cast<size_t>(b)]) {
-      continue;
-    }
-    if (alloc_at[static_cast<size_t>(b)] < 0) {
-      resident += buf_bytes[static_cast<size_t>(b)];
-      continue;
-    }
-    alloc_list[static_cast<size_t>(alloc_at[static_cast<size_t>(b)])].push_back(b);
-    if (free_at[static_cast<size_t>(b)] >= 0 && free_at[static_cast<size_t>(b)] < num_ops) {
-      free_list[static_cast<size_t>(free_at[static_cast<size_t>(b)])].push_back(b);
-    }
-  }
-
-  std::int64_t current = resident;
-  std::int64_t peak = current;
-  for (OpId k = 0; k < num_ops; ++k) {
-    for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
-      current += buf_bytes[static_cast<size_t>(b)];
-    }
-    peak = std::max(peak, current);
-    for (TensorId b : free_list[static_cast<size_t>(k)]) {
-      current -= buf_bytes[static_cast<size_t>(b)];
-    }
-  }
-  return peak;
+  return live;
 }
 
 }  // namespace
 
 std::int64_t StageLivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                          const std::vector<char>& op_in_stage) {
-  return StageSweep(graph, plan, op_in_stage, /*all_resident=*/false);
+  return SweepPeakBytes(StageLiveness(graph, plan, op_in_stage));
 }
 
 std::int64_t StageAllResidentShardBytes(const Graph& graph, const PartitionPlan& plan,
                                         const std::vector<char>& op_in_stage) {
-  return StageSweep(graph, plan, op_in_stage, /*all_resident=*/true);
+  const LivenessAnalysis live = StageLiveness(graph, plan, op_in_stage);
+  std::int64_t total = 0;
+  for (std::int64_t bytes : live.buf_bytes) {
+    total += bytes;  // zero for aliases and for buffers off the stage
+  }
+  return total;
 }
 
 }  // namespace tofu

@@ -8,10 +8,10 @@
 // own. All three are precomputed once per (graph, coarse graph, cluster) and queried in
 // O(1) per range, so the DP over all (stage count, boundary) candidates stays cheap.
 //
-// The kernel-time recipe mirrors sim/lowering.cc's ShardKernelSeconds / EfficiencyRows
-// exactly (same registry flops, same byte accounting, same rows heuristic) so the stage
-// estimate and the event simulator price compute identically; the only liberty is that
-// rows are scaled by the micro-batch split alone -- the intra-stage partition's cut
+// Kernel time comes from the shard-kernel oracle in sim/lowering.h (FullOpWork,
+// EfficiencyRows, ShardKernelSeconds), the same recipe the event simulator charges, so
+// the stage estimate and the simulator price compute identically. The only liberty is
+// that rows are scaled by the micro-batch split alone -- the intra-stage partition's cut
 // dimension is unknown until the inner search runs, and applying the same optimism to
 // every candidate keeps the DP's ranking fair.
 #ifndef TOFU_PIPELINE_STAGE_COST_H_
@@ -22,7 +22,7 @@
 
 #include "tofu/partition/coarsen.h"
 #include "tofu/partition/plan.h"
-#include "tofu/sim/cost_model.h"
+#include "tofu/sim/lowering.h"
 
 namespace tofu {
 
@@ -72,10 +72,8 @@ class StageCostModel {
   struct OpCost {
     int group = 0;
     bool backward = false;  // backward / update / grad-agg pass
-    OpClass op_class = OpClass::kBandwidth;
-    double flops = 0.0;  // full batch, whole op
-    double bytes = 0.0;  // output + inputs, full batch
-    double rows = 0.0;   // EfficiencyRows of the full output shape
+    OpWork work;        // full batch, whole op
+    double rows = 0.0;  // EfficiencyRows of the full output shape
   };
 
   int num_groups_ = 0;
@@ -88,13 +86,14 @@ class StageCostModel {
   std::vector<std::int64_t> state_prefix_;
 };
 
-// LivenessPeakShardBytes restricted to one stage's workers: only buffers a stage worker
-// materializes count -- stage-owned model state, buffers produced by in-stage ops, and
-// incoming boundary activations (produced off-stage, consumed in-stage), which stay
-// resident for the stage's whole pass (they arrive before the stage runs and their
-// gradient hand-off pins them). Off-stage buffers contribute nothing, which is the whole
-// memory point of pipelining: LivenessPeakShardBytes on a stage's inner plan would charge
-// every worker the full model.
+// LivenessPeakShardBytes restricted to one stage's workers (the same sweep over a
+// stage-masked buffer model): only buffers a stage worker materializes count --
+// stage-owned model state, buffers produced by in-stage ops, and incoming boundary
+// activations (produced off-stage, consumed in-stage), which stay resident for the
+// stage's whole pass (they arrive before the stage runs and their gradient hand-off
+// pins them). Off-stage buffers contribute nothing, which is the whole memory point of
+// pipelining: LivenessPeakShardBytes on a stage's inner plan would charge every worker
+// the full model.
 std::int64_t StageLivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                          const std::vector<char>& op_in_stage);
 

@@ -196,13 +196,12 @@ Result<ServeRequest> ParseServeRequest(const std::string& line,
                           MemoryPolicyFromName(policy->AsString()));
   }
 
-  std::int64_t workers = request.topology.num_workers;
-  TOFU_RETURN_IF_ERROR(ReadInt(doc, "workers", &workers));
-  if (workers < 1) {
+  TOFU_RETURN_IF_ERROR(ReadInt(doc, "workers", &request.topology.num_workers));
+  if (request.topology.num_workers < 1) {
     return Status(StatusCode::kInvalidArgument,
-                  "field 'workers' must be >= 1, got " + std::to_string(workers));
+                  "field 'workers' must be >= 1, got " +
+                      std::to_string(request.topology.num_workers));
   }
-  request.topology.num_workers = static_cast<int>(workers);
   TOFU_RETURN_IF_ERROR(
       ReadNumber(doc, "uniform_bandwidth", &request.topology.uniform_bandwidth));
   TOFU_RETURN_IF_ERROR(

@@ -8,37 +8,20 @@
 #include "tofu/util/strings.h"
 
 namespace tofu {
-namespace {
 
-// Whether the tensor's buffer is part of the persistent model state (weights, optimizer
-// history, parameter gradients, graph inputs): pre-allocated, not owned by any sim node.
-bool IsResident(const Graph& graph, const TensorNode& t) {
-  if (t.is_param || t.is_opt_state || t.is_input) {
-    return true;
-  }
-  return t.grad_of != kNoTensor && graph.tensor(t.grad_of).is_param;
-}
-
-// Kernel time of one worker's share of an op.
-double ShardKernelSeconds(const Graph& graph, const OpNode& op, const ClusterSpec& cluster,
-                          double work_fraction, double rows) {
+OpWork FullOpWork(const Graph& graph, const OpNode& op) {
   OpRegistry& registry = OpRegistry::Get();
-  const OpClass cls = registry.Info(op.type).op_class;
-  const double flops =
-      registry.Flops(op.type, graph.InputShapes(op), graph.tensor(op.output).shape, op.attrs) *
-      work_fraction;
-  double bytes = static_cast<double>(graph.tensor(op.output).bytes());
+  OpWork work;
+  work.op_class = registry.Info(op.type).op_class;
+  work.flops =
+      registry.Flops(op.type, graph.InputShapes(op), graph.tensor(op.output).shape, op.attrs);
+  work.bytes = static_cast<double>(graph.tensor(op.output).bytes());
   for (TensorId in : op.inputs) {
-    bytes += static_cast<double>(graph.tensor(in).bytes());
+    work.bytes += static_cast<double>(graph.tensor(in).bytes());
   }
-  bytes *= work_fraction;
-  return KernelSeconds(cluster.gpu, cls, flops, bytes, std::max(rows, 1.0));
+  return work;
 }
 
-// The extent driving kernel efficiency. GEMM-class ops starve on their row count; batched
-// GEMMs (batch_matmul, linear3d -- any rank >= 3 kMatmul output) keep the device busy
-// across the whole batch of GEMMs, so every dimension but the innermost counts as rows.
-// Other classes (conv, bandwidth) key off the leading (batch) dimension as before.
 double EfficiencyRows(const OpNode& op, const Shape& out_shape) {
   if (out_shape.empty()) {
     return 1.0;
@@ -54,7 +37,11 @@ double EfficiencyRows(const OpNode& op, const Shape& out_shape) {
   return static_cast<double>(out_shape[0]);
 }
 
-}  // namespace
+double ShardKernelSeconds(const GpuSpec& gpu, const OpWork& work, double work_fraction,
+                          double rows) {
+  return KernelSeconds(gpu, work.op_class, work.flops * work_fraction,
+                       work.bytes * work_fraction, std::max(rows, 1.0));
+}
 
 SimGraph LowerPartitioned(const Graph& graph, const PartitionPlan& plan,
                           const ClusterSpec& cluster, double samples_per_iteration,
@@ -76,7 +63,7 @@ SimGraph LowerPartitioned(const Graph& graph, const PartitionPlan& plan,
     return trivial ? graph.tensor(t).bytes() : plan.ShardBytes(graph, t);
   };
   for (const TensorNode& t : graph.tensors()) {
-    if (IsResident(graph, t)) {
+    if (IsModelState(graph, t)) {
       for (int w = 0; w < k; ++w) {
         sim.resident_bytes[static_cast<size_t>(w)] += static_cast<double>(shard_bytes(t.id));
       }
@@ -98,14 +85,14 @@ SimGraph LowerPartitioned(const Graph& graph, const PartitionPlan& plan,
     const double fetch_per_worker = cost.fetch_bytes_total / k;
     const double reduce_per_worker = cost.reduce_bytes_total / k;
     const std::int64_t out_shard = shard_bytes(op.output);
-    const bool out_resident = IsResident(graph, graph.tensor(op.output));
+    const bool out_resident = IsModelState(graph, graph.tensor(op.output));
     const bool inplace =
         op.inplace_input >= 0 && (!op.is_grad_agg || options.inplace_grad_agg);
 
     const Shape out_shape =
         trivial ? graph.tensor(op.output).shape : plan.ShardShape(graph, op.output);
-    const double rows = EfficiencyRows(op, out_shape);
-    double kernel_s = ShardKernelSeconds(graph, op, cluster, cost.work_fraction, rows);
+    double kernel_s = ShardKernelSeconds(cluster.gpu, FullOpWork(graph, op),
+                                         cost.work_fraction, EfficiencyRows(op, out_shape));
     if (op.is_grad_agg && !options.inplace_grad_agg) {
       kernel_s *= 2.0;  // extra read-modify-write pass without in-place accumulation
     }
@@ -229,7 +216,7 @@ SimGraph LowerPlacement(const Graph& graph, int num_devices,
     device[static_cast<size_t>(op.id)] = d;
   }
   for (const TensorNode& t : graph.tensors()) {
-    if (IsResident(graph, t)) {
+    if (IsModelState(graph, t)) {
       // Model state lives with the device of its first consumer (or producer).
       int d = 0;
       if (!t.consumers.empty()) {
@@ -277,9 +264,8 @@ SimGraph LowerPlacement(const Graph& graph, int num_devices,
       deps.push_back(it->second);
     }
 
-    const Shape& out_shape = graph.tensor(op.output).shape;
-    const double rows = EfficiencyRows(op, out_shape);
-    double kernel_s = ShardKernelSeconds(graph, op, cluster, 1.0, rows);
+    double kernel_s = ShardKernelSeconds(cluster.gpu, FullOpWork(graph, op), 1.0,
+                                         EfficiencyRows(op, graph.tensor(op.output).shape));
     if (op.is_grad_agg && !options.inplace_grad_agg) {
       kernel_s *= 2.0;
     }
@@ -289,7 +275,7 @@ SimGraph LowerPlacement(const Graph& graph, int num_devices,
     compute.duration_s = kernel_s;
     compute.deps = std::move(deps);
     compute.tag = op.type;
-    if (!inplace && !IsResident(graph, graph.tensor(op.output))) {
+    if (!inplace && !IsModelState(graph, graph.tensor(op.output))) {
       compute.output_bytes = graph.tensor(op.output).bytes();
     }
     avail[static_cast<size_t>(op_id)] = sim.Add(std::move(compute));

@@ -30,6 +30,32 @@ struct LowerOptions {
   bool inplace_grad_agg = true;
 };
 
+// The shard-kernel cost oracle: the one recipe that prices an operator's kernel. The
+// lowerings below, the hybrid stage costs (pipeline/stage_cost.h) and the memory repair
+// pass's recompute pricing (memory/repair.h) all call it, so the search's predictions
+// and the simulator charge compute identically.
+//
+// An op's full (unsharded) work: its kernel class, registry flops at full shapes, and
+// the bytes it moves (output plus every input).
+struct OpWork {
+  OpClass op_class = OpClass::kBandwidth;
+  double flops = 0.0;
+  double bytes = 0.0;
+};
+OpWork FullOpWork(const Graph& graph, const OpNode& op);
+
+// The extent driving kernel efficiency for an output of shape `out_shape`. GEMM-class ops starve
+// on their row count; batched GEMMs (batch_matmul, linear3d -- any rank >= 3 kMatmul
+// output) keep the device busy across the whole batch of GEMMs, so every dimension but
+// the innermost counts as rows. Other classes (conv, bandwidth) key off the leading
+// (batch) dimension.
+double EfficiencyRows(const OpNode& op, const Shape& out_shape);
+
+// Kernel seconds of one worker's `work_fraction` share of `work` at efficiency extent
+// `rows` (clamped to >= 1). The only caller of KernelSeconds.
+double ShardKernelSeconds(const GpuSpec& gpu, const OpWork& work, double work_fraction,
+                          double rows);
+
 // Lowers `graph` partitioned per `plan` onto plan.num_workers devices. A trivial plan
 // (num_workers == 1) lowers the original single-device execution, which is what the
 // Ideal / SmallBatch / Swapping baselines run on.

@@ -174,7 +174,6 @@ ThroughputResult SwapThroughput(const ModelFactory& factory, std::int64_t batch,
   };
 
   double compute_s = 0.0;
-  OpRegistry& registry = OpRegistry::Get();
   tick = 0;
   for (OpId op_id : order) {
     const OpNode& op = g.op(op_id);
@@ -199,16 +198,10 @@ ThroughputResult SwapThroughput(const ModelFactory& factory, std::int64_t batch,
     }
     advance_use(op.output);
 
+    // Whole-op kernels on one device, rows from the leading (batch) dimension.
     const Shape& shape = g.tensor(op.output).shape;
     const double rows = shape.empty() ? 1.0 : static_cast<double>(shape[0]);
-    const OpClass cls = registry.Info(op.type).op_class;
-    double bytes = static_cast<double>(g.tensor(op.output).bytes());
-    for (TensorId in : op.inputs) {
-      bytes += static_cast<double>(g.tensor(in).bytes());
-    }
-    compute_s += KernelSeconds(cluster.gpu, cls,
-                               registry.Flops(op.type, g.InputShapes(op), shape, op.attrs),
-                               bytes, rows);
+    compute_s += ShardKernelSeconds(cluster.gpu, FullOpWork(g, op), 1.0, rows);
   }
 
   // Every replica swaps over the shared host link. Prefetching overlaps transfers with

@@ -3,7 +3,7 @@
 // reduction-free ICML'18 restriction on communication volume.
 #include <gtest/gtest.h>
 
-#include "tofu/core/partitioner.h"
+#include "session_helpers.h"
 #include "tofu/models/mlp.h"
 #include "tofu/models/rnn.h"
 
@@ -32,25 +32,23 @@ void CheckWellFormed(const Graph& g, const PartitionPlan& plan, int k) {
 
 TEST(Baselines, AllPlansAreWellFormed) {
   ModelGraph model = Fixture();
-  Partitioner partitioner;
+  Session session(DeviceTopology::Uniform(8));
   for (PartitionAlgorithm algorithm :
        {PartitionAlgorithm::kTofu, PartitionAlgorithm::kIcml18, PartitionAlgorithm::kEqualChop,
         PartitionAlgorithm::kSpartan, PartitionAlgorithm::kAllRowGreedy}) {
-    PartitionPlan plan = partitioner.Partition(model.graph, 8, algorithm);
+    PartitionPlan plan = PlanOrFail(session, model.graph, algorithm);
     CheckWellFormed(model.graph, plan, 8);
   }
 }
 
 TEST(Baselines, TofuNeverLosesOnCommunication) {
   ModelGraph model = Fixture();
-  Partitioner partitioner;
-  const double tofu =
-      partitioner.Partition(model.graph, 8, PartitionAlgorithm::kTofu).total_comm_bytes;
+  Session session(DeviceTopology::Uniform(8));
+  const double tofu = PlanOrFail(session, model.graph).total_comm_bytes;
   for (PartitionAlgorithm algorithm :
        {PartitionAlgorithm::kIcml18, PartitionAlgorithm::kEqualChop,
         PartitionAlgorithm::kSpartan, PartitionAlgorithm::kAllRowGreedy}) {
-    const double other =
-        partitioner.Partition(model.graph, 8, algorithm).total_comm_bytes;
+    const double other = PlanOrFail(session, model.graph, algorithm).total_comm_bytes;
     EXPECT_LE(tofu, other * 1.0001) << AlgorithmName(algorithm);
   }
 }
@@ -62,12 +60,10 @@ TEST(Baselines, TofuBeatsAllRowGreedyOnRnn) {
   config.batch = 64;
   config.timesteps = 6;
   ModelGraph model = BuildRnn(config);
-  Partitioner partitioner;
-  const double tofu =
-      partitioner.Partition(model.graph, 8, PartitionAlgorithm::kTofu).total_comm_bytes;
+  Session session(DeviceTopology::Uniform(8));
+  const double tofu = PlanOrFail(session, model.graph).total_comm_bytes;
   const double allrow =
-      partitioner.Partition(model.graph, 8, PartitionAlgorithm::kAllRowGreedy)
-          .total_comm_bytes;
+      PlanOrFail(session, model.graph, PartitionAlgorithm::kAllRowGreedy).total_comm_bytes;
   EXPECT_LT(tofu, allrow);
 }
 

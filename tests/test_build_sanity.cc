@@ -1,11 +1,11 @@
 // Build-sanity smoke test: the quickstart.cpp flow in miniature. Builds a small MLP
 // training graph, partitions it for 4 workers with the default recursive search, and
 // checks the resulting plan is non-empty and internally consistent. If this test links
-// and passes, the library, the model builders, and the partitioner facade are all wired
+// and passes, the library, the model builders, and the Session API are all wired
 // up correctly — it is the first thing to consult when the build itself is in question.
 #include <gtest/gtest.h>
 
-#include "tofu/core/partitioner.h"
+#include "session_helpers.h"
 #include "tofu/core/report.h"
 #include "tofu/models/mlp.h"
 #include "tofu/sim/runtimes.h"
@@ -23,8 +23,8 @@ TEST(BuildSanity, QuickstartFlowProducesValidPlan) {
   ValidateGraph(model.graph);
 
   constexpr int kWorkers = 4;
-  Partitioner partitioner;
-  PartitionPlan plan = partitioner.Partition(model.graph, kWorkers);
+  Session session(DeviceTopology::Uniform(kWorkers));
+  PartitionPlan plan = PlanOrFail(session, model.graph);
 
   // Non-empty: 4 workers factorize as 2 x 2, so the plan must have recursive steps.
   EXPECT_EQ(plan.num_workers, kWorkers);

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "tofu/core/experiment.h"
-#include "tofu/core/partitioner.h"
+#include "session_helpers.h"
 #include "tofu/models/mlp.h"
 #include "tofu/util/strings.h"
 
@@ -61,7 +61,8 @@ TEST_P(PipelineSweep, EndToEndInvariantsHold) {
   ModelGraph model = BuildCase(c);
   ValidateGraph(model.graph);
 
-  PartitionPlan plan = Partitioner().Partition(model.graph, c.workers);
+  Session session(DeviceTopology::Uniform(c.workers));
+  PartitionPlan plan = PlanOrFail(session, model.graph);
   ASSERT_EQ(plan.num_workers, c.workers);
 
   const ClusterSpec cluster = K80Cluster();
@@ -110,12 +111,12 @@ INSTANTIATE_TEST_SUITE_P(Models, PipelineSweep, ::testing::ValuesIn(Sweep()),
 TEST(Integration, AllAlgorithmsSurviveAllFamilies) {
   for (int family = 0; family < 3; ++family) {
     ModelGraph model = BuildCase({"x", family, 8});
-    Partitioner partitioner;
+    Session session(DeviceTopology::Uniform(8));
     for (PartitionAlgorithm algorithm :
          {PartitionAlgorithm::kTofu, PartitionAlgorithm::kIcml18,
           PartitionAlgorithm::kEqualChop, PartitionAlgorithm::kSpartan,
           PartitionAlgorithm::kAllRowGreedy}) {
-      PartitionPlan plan = partitioner.Partition(model.graph, 8, algorithm);
+      PartitionPlan plan = PlanOrFail(session, model.graph, algorithm);
       EXPECT_GE(plan.total_comm_bytes, 0.0) << AlgorithmName(algorithm);
       ThroughputResult r = RunPlanThroughput(model, plan, K80Cluster());
       EXPECT_GT(r.iter_seconds, 0.0) << AlgorithmName(algorithm);

@@ -161,23 +161,26 @@ TEST(PipelineSim, AnalyticLowerBoundsTheEventSchedule) {
     std::vector<double> bwd;
     std::vector<double> transfer;
     int micro_batches;
+    double sim_golden;  // recorded 1F1B makespan; the schedule must reproduce it exactly
   } cases[] = {
       // Balanced stages: analytic == classic (M-1)*bottleneck + fill/drain.
-      {{1.0, 1.0, 1.0, 1.0}, {2.0, 2.0, 2.0, 2.0}, {0.1, 0.1, 0.1}, 8},
+      {{1.0, 1.0, 1.0, 1.0}, {2.0, 2.0, 2.0, 2.0}, {0.1, 0.1, 0.1}, 8, 34.600000000000009},
       // Early bottleneck: the classic formula OVERSHOOTS the schedule here (stage 0
       // never stalls), so only the per-stage critical-path bound is safe.
-      {{10.0, 1.0}, {10.0, 1.0}, {0.5}, 4},
+      {{10.0, 1.0}, {10.0, 1.0}, {0.5}, 4, 80.0},
       // Late bottleneck.
-      {{1.0, 1.0, 10.0}, {1.0, 1.0, 10.0}, {0.2, 0.2}, 6},
+      {{1.0, 1.0, 10.0}, {1.0, 1.0, 10.0}, {0.2, 0.2}, 6, 124.80000000000001},
       // Single stage: no pipeline at all, T = M * (f + b).
-      {{3.0}, {4.0}, {}, 5},
+      {{3.0}, {4.0}, {}, 5, 35.0},
       // Transfer-dominated boundaries.
-      {{1.0, 1.0}, {1.0, 1.0}, {5.0}, 4},
+      {{1.0, 1.0}, {1.0, 1.0}, {5.0}, 4, 30.0},
   };
   for (const auto& c : cases) {
     const PipelinePlan plan = SyntheticPlan(c.fwd, c.bwd, c.transfer, c.micro_batches);
     const double analytic = AnalyticPipelineSeconds(plan);
     const double sim = Simulate1F1BSeconds(plan);
+    EXPECT_DOUBLE_EQ(sim, c.sim_golden)
+        << "S=" << plan.num_stages << " M=" << plan.micro_batches;
     EXPECT_GT(analytic, 0.0);
     EXPECT_GE(sim, analytic * (1.0 - 1e-12))
         << "S=" << plan.num_stages << " M=" << plan.micro_batches;
@@ -276,6 +279,7 @@ TEST(HybridPartition, StageGoldensCoverTheGraphContiguously) {
   // schedule respects the differential contract on a REAL composed plan too.
   EXPECT_DOUBLE_EQ(pipe.pipeline_seconds, AnalyticPipelineSeconds(pipe));
   const double sim = Simulate1F1BSeconds(pipe);
+  EXPECT_DOUBLE_EQ(sim, 0.0029845172045542471);  // recorded 1F1B makespan golden
   EXPECT_GE(sim, pipe.pipeline_seconds * (1.0 - 1e-12));
   EXPECT_LE(sim, pipe.pipeline_seconds * 2.0);
 }

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "tofu/core/partitioner.h"
+#include "session_helpers.h"
 #include "tofu/core/report.h"
 #include "tofu/models/mlp.h"
 #include "tofu/models/rnn.h"
@@ -116,7 +116,6 @@ const GoldenRow kGolden[] = {
 TEST(SearchEngineGolden, MatchesRecordedCosts) {
   ModelGraph models[] = {GoldenMlp(), GoldenRnn(), GoldenWResNet(), GoldenTransformer()};
   const char* names[] = {"mlp", "rnn", "wresnet", "transformer"};
-  Partitioner partitioner;
   for (const GoldenRow& row : kGolden) {
     const ModelGraph* model = nullptr;
     for (size_t i = 0; i < 4; ++i) {
@@ -125,7 +124,8 @@ TEST(SearchEngineGolden, MatchesRecordedCosts) {
       }
     }
     ASSERT_NE(model, nullptr);
-    PartitionPlan plan = partitioner.Partition(model->graph, row.workers, row.algo);
+    Session session(DeviceTopology::Uniform(row.workers));
+    PartitionPlan plan = PlanOrFail(session, model->graph, row.algo);
     EXPECT_DOUBLE_EQ(plan.total_comm_bytes, row.engine)
         << row.model << " x" << row.workers << " " << AlgorithmName(row.algo);
     // Never worse than the pre-refactor engine (equal-cost ties may resolve cheaper).
@@ -159,8 +159,8 @@ TEST(SearchEngineThreads, FourThreadsYieldByteIdenticalPlans) {
 
 TEST(SearchEngineStats, SurfacedThroughPlanAndReport) {
   ModelGraph model = GoldenMlp();
-  Partitioner partitioner;
-  PartitionPlan plan = partitioner.Partition(model.graph, 8);
+  Session session(DeviceTopology::Uniform(8));
+  PartitionPlan plan = PlanOrFail(session, model.graph);
   EXPECT_GT(plan.search_stats.states_explored, 0);
   EXPECT_GT(plan.search_stats.max_frontier_states, 0);
   EXPECT_GT(plan.search_stats.cost_table_entries, 0);
@@ -170,8 +170,7 @@ TEST(SearchEngineStats, SurfacedThroughPlanAndReport) {
   EXPECT_NE(summary.find("search:"), std::string::npos);
 
   // Greedy baselines run no DP: their stats stay zeroed.
-  PartitionPlan greedy =
-      partitioner.Partition(model.graph, 8, PartitionAlgorithm::kDataParallel);
+  PartitionPlan greedy = PlanOrFail(session, model.graph, PartitionAlgorithm::kDataParallel);
   EXPECT_EQ(greedy.search_stats.states_explored, 0);
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "tofu/core/partitioner.h"
 #include "tofu/core/session.h"
 #include "tofu/memory/liveness.h"
 #include "tofu/models/mlp.h"
@@ -459,9 +458,11 @@ TEST(Session, DefaultTopologyReproducesLegacyPlansBitIdentically) {
     EXPECT_EQ(plan.steps[i].comm_bytes, legacy.steps[i].comm_bytes);
   }
 
-  // The deprecated facade goes through the same session machinery.
-  PartitionPlan shim = Partitioner().Partition(model.graph, 8);
-  EXPECT_EQ(shim.total_comm_bytes, legacy.total_comm_bytes);
+  // A one-shot, cache-less session plans identically.
+  Result<PartitionResponse> one_shot =
+      Session(DeviceTopology::Uniform(8), /*max_cached_plans=*/0).Partition(request);
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(one_shot->plan.total_comm_bytes, legacy.total_comm_bytes);
 }
 
 // Evaluates a plan's communication time on a topology: weighted step bytes over the

@@ -2,7 +2,8 @@
 # Docs drift check: every operator registered in src/tofu/tdl/ops_*.cc must be documented
 # in docs/tdl.md (as a backticked `name`), and every partition-algorithm name returned by
 # AlgorithmName (src/tofu/core/session.cc) must appear in both docs/serving.md and
-# docs/api.md. Run from anywhere; exits non-zero listing the drift. CI runs this on every
+# docs/api.md, and the shard-kernel cost recipe must stay in one place (KernelSeconds is
+# called only under src/tofu/sim/). Run from anywhere; exits non-zero listing the drift. CI runs this on every
 # push (see .github/workflows/ci.yml).
 set -u
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -98,3 +99,15 @@ if [[ $link_missing -gt 0 ]]; then
   exit 1
 fi
 echo "check_docs: docs/memory.md present and cross-linked from search, cost_model, api"
+
+# One shard-kernel oracle: outside src/tofu/sim/, kernels are priced through
+# ShardKernelSeconds (sim/lowering.h), never by calling KernelSeconds directly -- a second
+# copy of the recipe is how the search's predictions and the simulator drift apart.
+copies=$(grep -rnE '(^|[^A-Za-z0-9_])KernelSeconds\(' "$repo/src/tofu" --include='*.cc' --include='*.h' |
+  grep -v "^$repo/src/tofu/sim/")
+if [[ -n "$copies" ]]; then
+  echo "check_docs: KernelSeconds( called outside src/tofu/sim/ (use ShardKernelSeconds):" >&2
+  echo "${copies//$repo\//}" >&2
+  exit 1
+fi
+echo "check_docs: KernelSeconds is called only under src/tofu/sim/"

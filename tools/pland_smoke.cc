@@ -67,6 +67,10 @@ int main(int argc, char** argv) {
       "\"embed\":16}}";
   const std::string bad_model_line = "{\"id\":4,\"model\":\"vgg\"}";
   const std::string malformed_line = "{\"id\":5,";
+  // 2^32 + 4 workers: out of int range, so it must be rejected rather than truncated
+  // to a 4-worker plan.
+  const std::string workers_overflow_line =
+      "{\"id\":7,\"model\":\"mlp\",\"workers\":4294967300}";
   // A budget no pure plan can meet on this narrow graph (its liveness floor is 192
   // bytes per worker at 32 workers) -- the hybrid search must answer with a
   // multi-stage pipeline plan (tests/test_pipeline.cc pins the stage goldens).
@@ -77,7 +81,7 @@ int main(int argc, char** argv) {
 
   const std::string requests = mlp_line + "\n" + mlp_dup_line + "\n" + rnn_line +
                                "\n" + bad_model_line + "\n" + malformed_line + "\n" +
-                               hybrid_line + "\n";
+                               hybrid_line + "\n" + workers_overflow_line + "\n";
   Check(tofu::WriteTextFile("pland_smoke_requests.jsonl", requests),
         "cannot write request file");
 
@@ -94,10 +98,11 @@ int main(int argc, char** argv) {
       tofu::ReadTextFile("pland_smoke_responses.jsonl");
   Check(responses.ok(), "cannot read response file");
   const std::vector<std::string> lines = SplitLines(*responses);
-  Check(lines.size() == 6,
-        "expected 6 response lines, got " + std::to_string(lines.size()));
+  Check(lines.size() == 7,
+        "expected 7 response lines, got " + std::to_string(lines.size()));
 
   int cached_or_coalesced = 0;
+  int workers_rejected = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     tofu::Result<tofu::JsonValue> doc = tofu::ParseJson(lines[i]);
     Check(doc.ok(), "response line " + std::to_string(i) + " is not valid JSON: " +
@@ -174,7 +179,13 @@ int main(int argc, char** argv) {
       Check(code.ok() && *code == "INVALID_ARGUMENT",
             "unknown model should be INVALID_ARGUMENT, got line: " + lines[i]);
     } else if (*id == -1) {
-      Check(!*ok_field, "malformed line unexpectedly succeeded");
+      // Lines the request parser rejects carry no id: the unknown model, the malformed
+      // line, and the out-of-range worker count.
+      Check(!*ok_field, "rejected line unexpectedly succeeded: " + lines[i]);
+      tofu::Result<std::string> error = doc->StringAt("error");
+      if (error.ok() && error->find("'workers' out of int range") != std::string::npos) {
+        ++workers_rejected;
+      }
     } else {
       Fail("unexpected response id " + std::to_string(*id));
     }
@@ -183,6 +194,7 @@ int main(int argc, char** argv) {
   // lost the race is a cache hit or a coalesced rider.
   Check(cached_or_coalesced >= 1,
         "duplicate request was answered by a second search");
+  Check(workers_rejected == 1, "the out-of-range worker count was not rejected");
 
   // Second run: --algo=Hybrid must route a request that omits "algorithm" through the
   // hybrid search (same budget-constrained spec, no algorithm field, same pipeline).
@@ -214,6 +226,6 @@ int main(int argc, char** argv) {
             tofu::JsonToString(*algo_plan).find("tofu.plan.v3") != std::string::npos,
         "--algo=Hybrid response does not carry a v3 pipeline plan");
 
-  std::printf("pland_smoke: OK (7 responses validated)\n");
+  std::printf("pland_smoke: OK (8 responses validated)\n");
   return 0;
 }
