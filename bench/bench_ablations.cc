@@ -36,7 +36,7 @@ void CoarsenAblation(const std::string& name, const ModelGraph& model) {
     PartitionOptions options;
     options.coarsen = row.options;
     // Ablations that weaken coarsening can blow up the frontier; cap it tightly so the
-    // degraded beam search stays fast (the point is the warning + quality loss, not an
+    // capped search stays fast (the point is the warning + quality loss, not an
     // hour of search).
     options.dp.max_states = 1 << 14;
     auto t0 = Clock::now();

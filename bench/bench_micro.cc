@@ -46,7 +46,7 @@ void BM_Coarsen(benchmark::State& state) {
 }
 BENCHMARK(BM_Coarsen);
 
-// One DP step through the packed-state search engine; Arg = DpOptions::num_threads
+// One DP step through the dense-lattice search engine; Arg = DpOptions::num_threads
 // (sharded state expansion; plans are byte-identical across thread counts).
 void BM_DpStep(benchmark::State& state) {
   ModelGraph model = BenchMlp();

@@ -185,7 +185,7 @@ void Run(const std::string& name, ModelGraph model, JsonWriter* json) {
               static_cast<long long>(plan.search_stats.states_explored),
               static_cast<long long>(plan.search_stats.max_frontier_states),
               static_cast<long long>(plan.search_stats.cost_table_entries),
-              plan.search_stats.exact ? "" : " (beam-degraded)");
+              plan.search_stats.exact ? "" : " (over the state cap)");
 
   CoarseGraph coarse = Coarsen(model.graph);
   FlatDpOptions options;

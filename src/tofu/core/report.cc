@@ -41,7 +41,7 @@ std::string PlanSummary(const Graph& /*graph*/, const PartitionPlan& plan) {
                             plan.search_stats.memory_pruned_states))
                   .c_str()
             : "",
-        plan.search_stats.exact ? "" : " (beam-degraded, approximate)");
+        plan.search_stats.exact ? "" : " (over the state cap, approximate)");
   }
   if (!plan.steps.empty() && plan.steps.back().peak_shard_bytes > 0.0) {
     out << StrFormat(

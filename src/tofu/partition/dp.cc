@@ -484,39 +484,21 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
   SearchEngine engine(std::move(space), engine_options);
   SearchEngine::Result search = engine.Run(cost_fn, fill_fn);
 
-  // Publish (or extend) the compilation: on a miss the whole entry is new; on a hit the
-  // engine may still have filled tables the entry lacked (a budgeted search's dynamic
-  // table policy differs from the unbudgeted one), which are folded in for the next
-  // request. Tables the entry has but this run skipped are kept.
-  if (options.step_table_cache != nullptr && search.tables != nullptr) {
-    const GroupCostTables* prev_tables = cached != nullptr ? cached->tables.get() : nullptr;
-    auto merged = std::make_shared<GroupCostTables>(*search.tables);
-    bool changed = cached == nullptr;
-    for (size_t g = 0; g < merged->groups.size(); ++g) {
-      const std::shared_ptr<const std::vector<double>> prev =
-          prev_tables != nullptr && g < prev_tables->groups.size()
-              ? prev_tables->groups[g]
-              : nullptr;
-      if (merged->groups[g] == nullptr) {
-        merged->groups[g] = prev;
-      } else if (merged->groups[g] != prev) {
-        changed = true;
-      }
+  // Publish the compilation on a miss. Every search that runs exports all of its
+  // tables, so a hit has nothing to add.
+  if (options.step_table_cache != nullptr && cached == nullptr && search.tables != nullptr) {
+    auto entry = std::make_shared<StepCompilation>();
+    entry->ways = ctx->ways();
+    entry->num_groups = num_groups;
+    entry->slot_num_options.resize(static_cast<size_t>(num_slots));
+    for (int s = 0; s < num_slots; ++s) {
+      entry->slot_num_options[static_cast<size_t>(s)] =
+          static_cast<int>(slot_options[static_cast<size_t>(s)]->size());
     }
-    if (changed) {
-      auto entry = std::make_shared<StepCompilation>();
-      entry->ways = ctx->ways();
-      entry->num_groups = num_groups;
-      entry->slot_num_options.resize(static_cast<size_t>(num_slots));
-      for (int s = 0; s < num_slots; ++s) {
-        entry->slot_num_options[static_cast<size_t>(s)] =
-            static_cast<int>(slot_options[static_cast<size_t>(s)]->size());
-      }
-      entry->unit_evals = unit_evals;
-      entry->slot_option_bytes = option_bytes;
-      entry->tables = std::move(merged);
-      StepTableCacheAccess::Insert(options.step_table_cache, cache_key, std::move(entry));
-    }
+    entry->unit_evals = unit_evals;
+    entry->slot_option_bytes = option_bytes;
+    entry->tables = search.tables;
+    StepTableCacheAccess::Insert(options.step_table_cache, cache_key, std::move(entry));
   }
 
   DpResult result;

@@ -9,8 +9,8 @@
 // group"). On a linear coarsened graph this is exactly the chain DP of the paper; residual
 // fork-joins simply widen the frontier by one slot.
 //
-// The frontier mechanics (packed-integer state keys, per-group dense cost tables, beam
-// degradation, optional threaded expansion) live in the shared engine of
+// The frontier mechanics (the dense lattice sweep, per-group dense cost tables, the state
+// cap, optional threaded expansion) live in the shared engine of
 // partition/search_engine.h; this file contributes only the step-DP cost semantics.
 #ifndef TOFU_PARTITION_DP_H_
 #define TOFU_PARTITION_DP_H_
@@ -79,9 +79,9 @@ struct DpOptions {
 // model, a re-plan after a bandwidth re-measure) reuses the expensive work of the
 // original search. A hit skips rebuilding the per-unit cost evaluators and the per-slot
 // byte tables, and hands the engine every previously computed per-group cost table
-// (SearchEngineOptions::reuse_tables); tables the engine still has to fill (e.g. a
-// budgeted search memo-charged a group the unbudgeted search tabled) are folded back
-// into the entry afterwards. Thread-safe; entries are immutable once published.
+// (SearchEngineOptions::reuse_tables). An entry is published by the first search of a
+// step that exports its tables (all of them), so a hit never has tables to add.
+// Thread-safe; entries are immutable once published.
 class StepTableCache {
  public:
   explicit StepTableCache(std::size_t max_entries = 64, std::size_t shards = 8);
@@ -112,8 +112,9 @@ struct DpResult {
   // Lower bound on per-group resident bytes over ALL assignments at this step's shapes
   // (each slot takes its lightest cut). 0 when the search ran without a budget.
   double min_possible_bytes = 0.0;
-  // Search effort and exactness (stats.exact is false only after beam degradation; with
-  // the coarsening of §5.1 enabled that never triggers on the paper's models -- it
+  // Search effort and exactness (stats.exact is false only when the frontier exceeded
+  // DpOptions::max_states and the search ran on a capped option subset; with the
+  // coarsening of §5.1 enabled that never happens on the paper's models -- the cap
   // exists so ablations that disable coarsening degrade instead of failing).
   SearchStats stats;
 };

@@ -299,7 +299,7 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
     return true;
   };
 
-  // No beam here: the flat search either completes exactly or times out.
+  // No state cap here: the flat search either completes exactly or times out.
   SearchEngineOptions engine_options;
   engine_options.max_states = std::numeric_limits<std::int64_t>::max() / 2;
   engine_options.memory_budget = static_cast<double>(options.memory_budget_bytes);

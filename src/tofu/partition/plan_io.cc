@@ -174,17 +174,14 @@ namespace {
 
 Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
   TOFU_ASSIGN_OR_RETURN(std::string schema, doc.StringAt("schema"));
-  // v1 plans (searched before memory became a constraint) still load; their memory
-  // fields default to "unconstrained". v3 adds the hybrid pipeline section; v4 adds
-  // the memory_schedule section (and may also carry a pipeline section).
+  // v3 adds the hybrid pipeline section; v4 adds the memory_schedule section (and may
+  // also carry a pipeline section).
   const bool v4 = schema == kPlanJsonSchemaV4;
   const bool v3 = v4 || schema == kPlanJsonSchemaV3;
-  const bool v2 = v3 || schema == kPlanJsonSchema;
-  if (!v2 && schema != kPlanJsonSchemaV1) {
+  if (!v3 && schema != kPlanJsonSchema) {
     return Status(StatusCode::kInvalidArgument,
-                  StrFormat("unknown plan schema '%s' (want %s, %s, %s or %s)",
-                            schema.c_str(), kPlanJsonSchemaV4, kPlanJsonSchemaV3,
-                            kPlanJsonSchema, kPlanJsonSchemaV1));
+                  StrFormat("unknown plan schema '%s' (want %s, %s or %s)", schema.c_str(),
+                            kPlanJsonSchemaV4, kPlanJsonSchemaV3, kPlanJsonSchema));
   }
   if (v3 && depth > 0) {
     return Status(StatusCode::kInvalidArgument,
@@ -203,15 +200,13 @@ Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
   TOFU_ASSIGN_OR_RETURN(plan.weighted_step_costs, ReadNumberArray(doc, "weighted_step_costs"));
   TOFU_ASSIGN_OR_RETURN(plan.step_seconds, ReadNumberArray(doc, "step_seconds"));
   TOFU_ASSIGN_OR_RETURN(plan.estimated_comm_seconds, doc.NumberAt("estimated_comm_seconds"));
-  if (v2) {
-    TOFU_ASSIGN_OR_RETURN(plan.memory_budget_bytes, doc.IntAt("memory_budget_bytes"));
-    if (plan.memory_budget_bytes < 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    StrFormat("memory_budget_bytes %lld is negative",
-                              static_cast<long long>(plan.memory_budget_bytes)));
-    }
-    TOFU_ASSIGN_OR_RETURN(plan.memory_feasible, doc.BoolAt("memory_feasible"));
+  TOFU_ASSIGN_OR_RETURN(plan.memory_budget_bytes, doc.IntAt("memory_budget_bytes"));
+  if (plan.memory_budget_bytes < 0) {
+    return Status(StatusCode::kInvalidArgument,
+                  StrFormat("memory_budget_bytes %lld is negative",
+                            static_cast<long long>(plan.memory_budget_bytes)));
   }
+  TOFU_ASSIGN_OR_RETURN(plan.memory_feasible, doc.BoolAt("memory_feasible"));
 
   TOFU_ASSIGN_OR_RETURN(const JsonValue* stats, doc.ObjectAt("search_stats"));
   TOFU_ASSIGN_OR_RETURN(plan.search_stats.states_explored, stats->IntAt("states_explored"));
@@ -219,10 +214,8 @@ Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
                         stats->IntAt("max_frontier_states"));
   TOFU_ASSIGN_OR_RETURN(plan.search_stats.cost_table_entries,
                         stats->IntAt("cost_table_entries"));
-  if (v2) {
-    TOFU_ASSIGN_OR_RETURN(plan.search_stats.memory_pruned_states,
-                          stats->IntAt("memory_pruned_states"));
-  }
+  TOFU_ASSIGN_OR_RETURN(plan.search_stats.memory_pruned_states,
+                        stats->IntAt("memory_pruned_states"));
   TOFU_ASSIGN_OR_RETURN(plan.search_stats.wall_seconds, stats->NumberAt("wall_seconds"));
   TOFU_ASSIGN_OR_RETURN(plan.search_stats.exact, stats->BoolAt("exact"));
 
@@ -240,9 +233,7 @@ Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
     step.ways = static_cast<int>(ways);
     TOFU_ASSIGN_OR_RETURN(step.comm_bytes, entry.NumberAt("comm_bytes"));
     TOFU_ASSIGN_OR_RETURN(step.comm_seconds, entry.NumberAt("comm_seconds"));
-    if (v2) {
-      TOFU_ASSIGN_OR_RETURN(step.peak_shard_bytes, entry.NumberAt("peak_shard_bytes"));
-    }
+    TOFU_ASSIGN_OR_RETURN(step.peak_shard_bytes, entry.NumberAt("peak_shard_bytes"));
     TOFU_ASSIGN_OR_RETURN(step.tensor_cut, ReadIntArray(entry, "tensor_cut"));
     TOFU_ASSIGN_OR_RETURN(step.op_strategy, ReadIntArray(entry, "op_strategy"));
     plan.steps.push_back(std::move(step));

@@ -10,8 +10,7 @@
 //
 // Numbers are written with %.17g, so every double (comm bytes, step costs) reloads
 // bit-identically -- a saved plan replays with exactly the original totals. The schema is
-// documented in docs/api.md ("tofu.plan.v2"; v1 files still load, their memory fields
-// defaulting to "searched without a budget").
+// documented in docs/api.md ("tofu.plan.v2" through "tofu.plan.v4").
 #ifndef TOFU_PARTITION_PLAN_IO_H_
 #define TOFU_PARTITION_PLAN_IO_H_
 
@@ -27,8 +26,6 @@ namespace tofu {
 // memory fields (per-step peak_shard_bytes, plan-level memory_budget_bytes /
 // memory_feasible, search_stats.memory_pruned_states).
 inline constexpr const char* kPlanJsonSchema = "tofu.plan.v2";
-// Still accepted by PlanFromJson; the v2-only fields default to an unconstrained plan.
-inline constexpr const char* kPlanJsonSchemaV1 = "tofu.plan.v1";
 // Hybrid pipeline plans (PartitionPlan::pipeline set): v2 plus a "pipeline" section
 // holding the stage decomposition, per-stage timing, and the per-stage inner plans
 // (each a nested pure plan object). Written ONLY for hybrid plans -- pure plans keep

@@ -8,29 +8,24 @@
 // touched slots' options, and leaving slots are projected out keeping the cheapest
 // state per residue.
 //
-// The engine owns that skeleton once, with two representation choices that make it fast:
-//   * states are packed integer keys -- each live slot contributes ceil(log2(#options))
-//     bits, concatenated in frontier order into fixed-width uint64_t words interned in a
-//     flat arena (no per-state heap strings, no hashing on the charge path);
-//   * in table mode, each group's cost becomes one dense table precomputed per group
-//     (one evaluation per combination of its touched slots' options); charging a state
-//     is a shift/mask field extraction plus one array load.
-//
-// Charging and key construction can optionally be sharded across a small thread pool
-// (SearchEngineOptions::num_threads, 0 = auto-size from hardware_concurrency). Sharding
-// is deterministic: results are assembled in state-index order, so any thread count
-// yields byte-identical plans.
-//
-// Unbudgeted table-mode searches additionally take a DENSE LATTICE fast path: without
-// budget pruning the frontier is exactly the cross product of the live slots' options,
-// so the engine drops the packed keys entirely and keeps one flat cost array whose axes
-// are the live slots in branch order (newest axis fastest). Branching is a contiguous
-// broadcast, charging is a table gather plus a contiguous vector add the compiler
-// auto-vectorizes, and projection is a strict-less min-reduce along one axis -- all
-// provably bit-identical to the sparse path (same accumulation order, same tie-breaks;
-// docs/search.md, "Big-graph, many-worker search"). The same path hoists every group's
-// cost-table fill up front, which enables dominated-option pruning and table reuse
+// The engine owns that skeleton once, as a DENSE LATTICE: the frontier is one flat cost
+// array whose axes are the live slots in branch order (newest axis fastest), exactly the
+// cross product of the live slots' options. Branching is a contiguous broadcast,
+// charging a table-mode group is a gather from the group's dense cost table (one
+// evaluation per combination of its touched slots' options, all filled before the sweep)
+// plus a contiguous vector add, and projection is a strict-less min-reduce along one
+// axis. Hoisting the fills is what enables dominated-option pruning and table reuse
 // across searches (GroupCostTables below).
+//
+// A memory budget adds a parallel bytes array: cells whose bytes cannot fit the budget
+// under any completion are dead (+inf cost), and projections prefer lighter cells on
+// cost ties. Streamed searches call their cost callback once per live cell, serially in
+// lattice index order.
+//
+// Branching, charging and projection can be sharded across a small thread pool
+// (SearchEngineOptions::num_threads, 0 = auto-size from hardware_concurrency). Sharding
+// is deterministic -- each cell's result depends only on its own inputs -- so any thread
+// count yields byte-identical plans (docs/search.md, "The dense lattice").
 #ifndef TOFU_PARTITION_SEARCH_ENGINE_H_
 #define TOFU_PARTITION_SEARCH_ENGINE_H_
 
@@ -59,44 +54,45 @@ struct SearchSpace {
 
 // Per-group dense cost tables of one table-mode search, shareable across searches of
 // the same space (the values depend only on the group cost function, never on budgets,
-// bandwidths, or thread counts). groups[g] is null for groups that charged through the
-// per-state memo (or were never reached); non-null entries hold exactly the group's
-// mixed-radix cell values in the engine's canonical enumeration order. Immutable once
-// published -- safe to share across threads and cache entries.
+// bandwidths, or thread counts). groups[g] holds exactly group g's mixed-radix cell
+// values in the engine's canonical enumeration order. Immutable once published -- safe
+// to share across threads and cache entries.
 struct GroupCostTables {
   std::vector<std::shared_ptr<const std::vector<double>>> groups;
 };
 
 struct SearchEngineOptions {
   // Safety cap on simultaneous DP states (frontier blow-up on non-chain graphs). When
-  // exceeded the search degrades to a beam keeping the cheapest quarter of the cap;
-  // SearchStats::exact turns false.
+  // the schedule's frontier width exceeds it, each entering slot (in schedule order)
+  // keeps only its lowest-index max(1, max_states / width) options, width being the
+  // capped frontier it enters; the search runs on that subset with cost_fn fills, no
+  // table import or export, and SearchStats::exact false.
   std::int64_t max_states = 1 << 22;
   // Threads for state expansion (branch/charge/project sharding). 0 (the default)
   // auto-sizes from std::thread::hardware_concurrency(); 1 = serial. Any value yields
   // byte-identical results. Cost callbacks are never called concurrently regardless of
   // this setting.
   int num_threads = 0;
-  // Dominated-option pruning (dense-lattice searches only): after the hoisted table
-  // fills, option o of slot s is dropped when some option o' < o is pointwise no more
-  // expensive in EVERY group table touching s and (when slot_option_bytes is present)
-  // no heavier. Every frontier state using o is then beaten by its o'-sibling on both
+  // Dominated-option pruning (unbudgeted table-mode searches only): after the hoisted
+  // table fills, option o of slot s is dropped when some option o' < o is pointwise no
+  // more expensive in EVERY group table touching s and (when slot_option_bytes is
+  // present) no heavier. Every frontier state using o is then beaten by its o'-sibling on both
   // cost and bytes under every completion, so pruning provably never changes the
   // returned plan, including ties (o' < o keeps the canonical lowest-index winner).
   // Pruned states are counted in SearchStats::dominated_pruned_states; table fills
   // still run in full first, so states_explored / cost_table_entries are unchanged.
   bool prune_dominated = true;
   // Optional tables from a previous search of the same space (incremental
-  // re-planning). A group's table is imported instead of refilled when the group is
-  // charged in table mode and the cell count matches; imported cells are counted in
+  // re-planning). A group's table is imported instead of refilled when the cell count
+  // matches (never in a capped search); imported cells are counted in
   // SearchStats::reused_table_entries (and still in states_explored, so results are
   // byte-identical to a cold search).
   std::shared_ptr<const GroupCostTables> reuse_tables;
   // Per-worker-group resident-byte budget. > 0 (together with a populated
-  // SearchSpace::slot_option_bytes) turns on memory-constrained search: states whose
-  // byte lower bound exceeds the budget are pruned at branch time, equal-cost merges
-  // and the final argmin prefer lighter states, and Result::feasible reports whether
-  // any assignment fits at all. <= 0 keeps the search bit-identical to the
+  // SearchSpace::slot_option_bytes) turns on memory-constrained search: cells whose
+  // byte lower bound exceeds the budget die at branch time, equal-cost projections
+  // prefer lighter cells, dominated-option pruning is off, and Result::feasible reports
+  // whether any assignment fits at all. <= 0 keeps the search bit-identical to the
   // unconstrained engine (no byte tracking, original tie-breaks).
   double memory_budget = 0.0;
 };
@@ -108,9 +104,10 @@ class SearchEngine {
   // SearchSpace::group_slots[g][i].
   using GroupCostFn = std::function<double(int group, const int* options)>;
 
-  // Streamed mode: called once per (group, state) -- preserving searches whose measured
-  // cost is intentionally per-state, like the flat DP's joint enumeration. Returns
-  // false to abort the whole search (deadline exceeded).
+  // Streamed mode: called once per (group, live lattice cell), serially in lattice
+  // index order -- preserving searches whose measured cost is intentionally per-state,
+  // like the flat DP's joint enumeration. Returns false to abort the whole search
+  // (deadline exceeded).
   using StateCostFn = std::function<bool(int group, const int* options, double* cost)>;
 
   // Optional bulk table fill: writes group `g`'s whole dense cost table (`num_cells`
@@ -119,26 +116,29 @@ class SearchEngine {
   // last touched slot fastest (stride 1). MUST produce exactly the values cell-by-cell
   // calls of the GroupCostFn would; it exists purely so a caller can hoist per-cell
   // dispatch out of the hottest loop of the search (one function call per table
-  // instead of one per cell). The engine still uses the GroupCostFn for memo-charged
-  // groups.
+  // instead of one per cell). Capped searches (SearchEngineOptions::max_states) fill
+  // from the GroupCostFn instead, since their option counts differ from the space's.
   using GroupFillFn = std::function<void(int group, double* cells, std::int64_t num_cells)>;
 
   struct Result {
     bool completed = true;          // false only when a streamed search aborted
     // False when a memory budget excluded every assignment (the lightest possible
-    // choice per slot already overflows); slot_option is then all zeros and no cost
-    // callback ran. Always true without a budget.
+    // choice per slot already overflows -- then no cost callback ran -- or, in a capped
+    // search, every assignment of the option subset does); slot_option is then all
+    // zeros. Always true without a budget.
     bool feasible = true;
     double best_cost = 0.0;
     // Chosen option index per slot; slots no group touches default to option 0.
     std::vector<int> slot_option;
     // Byte-tracking results (0 without a budget): the chosen assignment's resident
     // bytes, and the lower bound over ALL assignments (sum of each slot's cheapest
-    // option) -- what an infeasible search proves cannot be beaten.
+    // option; of the option subset in a capped search) -- what an infeasible search
+    // proves cannot be beaten.
     double best_bytes = 0.0;
     double min_possible_bytes = 0.0;
     // Every dense cost table this search consumed (filled or imported); null in
-    // streamed mode. What a step-table cache stores for the next search of this space.
+    // streamed mode, capped searches, and searches proved infeasible up front. What a
+    // step-table cache stores for the next search of this space.
     std::shared_ptr<const GroupCostTables> tables;
     SearchStats stats;
   };

@@ -10,24 +10,26 @@
 namespace tofu {
 
 struct SearchStats {
-  // Distinct group-cost evaluations the search REQUIRED: dense cost-table cells in
-  // table mode (whether the cells were computed this run or imported from a step-table
-  // cache -- see reused_table_entries), per-state callback invocations in streamed
-  // mode. Deterministic for a given search space, independent of cache temperature,
-  // thread count, and dominance pruning, which is what lets plan serializations stay
+  // Group-cost evaluations the search REQUIRED: every dense cost-table cell in table
+  // mode (whether the cells were computed this run or imported from a step-table cache
+  // -- see reused_table_entries; budgeted searches fill the same full tables), one
+  // callback invocation per live lattice cell per group in streamed mode.
+  // Deterministic for a given search space, independent of cache temperature, thread
+  // count, and dominance pruning, which is what lets plan serializations stay
   // byte-identical across warm and cold searches.
   std::int64_t states_explored = 0;
-  // Peak number of simultaneous DP states the SCHEDULE defines (the frontier blow-up
-  // the beam cap guards). Dominance pruning does not lower this figure -- states whose
-  // option is dominated are counted here but never materialized; their count is
-  // reported separately in dominated_pruned_states.
+  // Peak number of simultaneous DP states the SCHEDULE defines over the full option
+  // counts (the frontier blow-up the state cap guards), for every search. Neither
+  // dominance pruning nor budget pruning nor the cap lowers this figure; dominated
+  // states are reported separately in dominated_pruned_states.
   std::int64_t max_frontier_states = 0;
   // Total cells across all per-group cost tables the search consumed (0 in streamed
   // mode). Computed-or-imported, like states_explored.
   std::int64_t cost_table_entries = 0;
-  // States discarded because their resident bytes -- plus the cheapest possible choices
-  // for every slot not yet decided -- already exceeded the step's memory budget. Always
-  // 0 when the search ran without a budget (the pruning never engages).
+  // Lattice cells killed at branch time because their resident bytes -- plus the
+  // cheapest possible choices for every slot not yet decided -- already exceeded the
+  // step's memory budget, counted only when the parent cell was alive. Always 0 when
+  // the search ran without a budget (the pruning never engages).
   std::int64_t memory_pruned_states = 0;
   // Frontier states never materialized because their option for some slot was
   // dominated: another option of the same slot is pointwise no worse across every
@@ -54,8 +56,9 @@ struct SearchStats {
   double expand_seconds = 0.0;
   double charge_seconds = 0.0;
   double project_seconds = 0.0;
-  // False when the frontier exceeded the state cap and the search degraded to a beam
-  // (the plan is then an approximation; see SearchEngineOptions::max_states).
+  // False when the frontier exceeded the state cap and the search ran on a capped
+  // option subset (the plan is then an approximation; see
+  // SearchEngineOptions::max_states).
   bool exact = true;
 
   // Folds one step's stats into a whole-plan aggregate (recursive steps sum effort and

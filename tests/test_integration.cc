@@ -125,7 +125,7 @@ TEST(Integration, AllAlgorithmsSurviveAllFamilies) {
 }
 
 TEST(Integration, DpStaysExactOnPaperModels) {
-  // The beam fallback must never trigger with full coarsening on the benchmark models.
+  // The state cap must never bind with full coarsening on the benchmark models.
   for (int family = 0; family < 3; ++family) {
     ModelGraph model = BuildCase({"x", family, 8});
     CoarseGraph cg = Coarsen(model.graph);

@@ -92,24 +92,21 @@ TEST(PlanJson, ReloadedPlanReplaysIdentically) {
   EXPECT_EQ(replay.peak_bytes, original.peak_bytes);
 }
 
-TEST(PlanJson, LegacyV1DocumentsStillLoadAsUnconstrained) {
-  // A plan saved before the schema bump: no memory fields anywhere. It must load with
-  // the memory fields at their unconstrained defaults, not be rejected.
+TEST(PlanJson, V1TagIsRejectedNamingTheAcceptedSchemas) {
+  // The v1 loader is gone: a v1 tag is an unknown schema, and the error names the
+  // tags that do load.
   ModelGraph model = SmallModel();
-  PartitionPlan plan = PlanFor(model, 8);
-  std::string v1 = PlanToJson(plan);
+  std::string v1 = PlanToJson(PlanFor(model, 8));
   const std::string v2_tag = "tofu.plan.v2";
   ASSERT_NE(v1.find(v2_tag), std::string::npos);
   v1.replace(v1.find(v2_tag), v2_tag.size(), "tofu.plan.v1");
 
   Result<PartitionPlan> reloaded = PlanFromJson(v1);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->memory_budget_bytes, 0);
-  EXPECT_TRUE(reloaded->memory_feasible);
-  EXPECT_EQ(reloaded->search_stats.memory_pruned_states, 0);
-  // v1 readers tolerate the extra keys; v1 carried no per-step peaks, so they default.
-  EXPECT_EQ(reloaded->total_comm_bytes, plan.total_comm_bytes);
-  EXPECT_TRUE(ValidatePlanForGraph(model.graph, *reloaded).ok());
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.status().code(), StatusCode::kInvalidArgument);
+  for (const char* tag : {"tofu.plan.v2", "tofu.plan.v3", "tofu.plan.v4"}) {
+    EXPECT_NE(reloaded.status().message().find(tag), std::string::npos) << tag;
+  }
 }
 
 // A graph whose split capacities run out at 32 workers plus a budget the pure search

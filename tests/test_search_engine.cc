@@ -1,10 +1,16 @@
 // Search-engine tests: golden cost equivalence against the pre-refactor string-keyed
-// DP (recorded values), byte-identical plans across thread counts, beam degradation,
-// SearchStats plumbing, direct engine unit cases, and the plan-invariance contracts of
-// dominated-option pruning and cost-table reuse (pinned plan digests).
+// DP (recorded values), byte-identical plans across thread counts, over-cap
+// degradation, SearchStats plumbing, direct engine unit cases, the plan-invariance
+// contracts of dominated-option pruning and cost-table reuse (pinned plan digests), and
+// an exhaustive-search oracle on seeded tiny spaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "session_helpers.h"
@@ -56,7 +62,7 @@ ModelGraph GoldenTransformer() {
 }
 
 // Total comm bytes recorded from the PRE-refactor string-keyed engine (`pre_refactor`)
-// and expected from the packed-state engine (`engine`). Single-step searches (2 workers,
+// and expected from the current engine (`engine`). Single-step searches (2 workers,
 // and EqualChop at any k) are bit-identical. Multi-step recursions can legitimately
 // differ where a step has several equal-cost optima: the old engine picked the winner by
 // unordered_map iteration order (stdlib-dependent), the new engine canonically (lowest
@@ -239,11 +245,10 @@ TEST(SearchEngineUnit, SingleOptionAndUntouchedSlotsDefaultToZero) {
   EXPECT_EQ(res.slot_option, (std::vector<int>{2, 0, 0}));
 }
 
-TEST(SearchEngineUnit, OversizedGroupFallsBackToMemoizedCharge) {
-  // 13 slots x 2 options touched by ONE group: the option product (8192) exceeds both
-  // the 4096 table floor and the beam-pruned state count, so the charge must go through
-  // the per-state memo instead of a dense table -- bounded by live states, not by the
-  // cross product.
+TEST(SearchEngineUnit, OverCapGroupIsChargedOnTheCappedSubset) {
+  // 13 slots x 2 options touched by ONE group: the frontier (8192) exceeds the cap, so
+  // entering slots keep their lowest-index options until the capped frontier reaches
+  // 16 -- work is bounded by the cap, not by the 8192-cell cross product.
   SearchSpace space;
   space.slot_num_options.assign(13, 2);
   space.group_slots.push_back({});
@@ -251,7 +256,7 @@ TEST(SearchEngineUnit, OversizedGroupFallsBackToMemoizedCharge) {
     space.group_slots[0].push_back(s);
   }
   SearchEngineOptions options;
-  options.max_states = 16;  // beam prunes during branching
+  options.max_states = 16;
   SearchEngine engine(std::move(space), options);
   SearchEngine::Result res = engine.Run([](int, const int* o) {
     double c = 0.0;
@@ -262,10 +267,10 @@ TEST(SearchEngineUnit, OversizedGroupFallsBackToMemoizedCharge) {
   });
   EXPECT_TRUE(res.completed);
   EXPECT_FALSE(res.stats.exact);
-  EXPECT_EQ(res.stats.cost_table_entries, 0);  // no dense table was built
-  // Memoized evaluations are bounded by the surviving states, not the 8192 combos.
+  EXPECT_LE(res.stats.cost_table_entries, options.max_states);
   EXPECT_LE(res.stats.states_explored, res.stats.max_frontier_states);
-  // The all-zeros state survives every cost-ranked beam prune: optimum found anyway.
+  EXPECT_EQ(res.tables, nullptr);  // capped tables index a different space
+  // Option 0 always survives the cap: the all-zeros optimum is found anyway.
   EXPECT_DOUBLE_EQ(res.best_cost, 0.0);
 }
 
@@ -376,6 +381,26 @@ TEST(SearchEngineUnit, UntouchedSlotBytesChargeAgainstTheBudget) {
   EXPECT_EQ(res.slot_option, (std::vector<int>{1, 0}));
   EXPECT_DOUBLE_EQ(res.best_bytes, 95.0);
   EXPECT_DOUBLE_EQ(res.min_possible_bytes, 95.0);
+}
+
+TEST(SearchEngineUnit, RoundingAtTheBudgetEdgeReportsInsteadOfAborting) {
+  // The budget equals the lightest total, and fractional byte sums round differently
+  // along the branch sequence (0.1 + 0.2 + 0.3 vs the remaining-minimum bound): the
+  // last live cell can die. The search must return a verdict, not abort.
+  SearchSpace space;
+  space.slot_num_options = {2, 2, 2};
+  space.group_slots = {{0}, {1}, {2}};
+  space.slot_option_bytes = {{0.1, 1.0}, {0.2, 1.0}, {0.3, 1.0}};
+  SearchEngineOptions options;
+  options.memory_budget = 0.1 + 0.2 + 0.3;
+  SearchEngine engine(std::move(space), options);
+  SearchEngine::Result res = engine.Run([](int, const int* o) { return o[0] == 0 ? 1.0 : 0.0; });
+  EXPECT_TRUE(res.completed);
+  if (res.feasible) {
+    EXPECT_LE(res.best_bytes, options.memory_budget);
+  } else {
+    EXPECT_EQ(res.slot_option, (std::vector<int>{0, 0, 0}));
+  }
 }
 
 TEST(SearchEngineThreads, BudgetedSearchIsThreadCountInvariant) {
@@ -512,6 +537,282 @@ TEST(SearchEngineUnit, StreamedModeAborts) {
         return true;
       });
   EXPECT_FALSE(res.completed);
+}
+
+TEST(SearchEngineUnit, WideSlotWinnersPastByteRange) {
+  // A 300-option slot: the winning coordinate (257) does not fit in a byte.
+  SearchSpace space;
+  space.slot_num_options = {300, 2};
+  space.group_slots = {{0}, {0, 1}};
+  auto cost = [](int g, const int* o) {
+    return g == 0 ? (o[0] == 257 ? 0.0 : 1.0) : (o[1] == 1 ? 0.0 : 2.0);
+  };
+  SearchEngine engine(std::move(space), {});
+  SearchEngine::Result table = engine.Run(cost);
+  SearchEngine::Result streamed = engine.RunStreamed([&](int g, const int* o, double* c) {
+    *c = cost(g, o);
+    return true;
+  });
+  for (const SearchEngine::Result* res : {&table, &streamed}) {
+    EXPECT_TRUE(res->completed);
+    EXPECT_DOUBLE_EQ(res->best_cost, 0.0);
+    EXPECT_EQ(res->slot_option, (std::vector<int>{257, 1}));
+  }
+  EXPECT_EQ(streamed.stats.states_explored, 300 + 600);  // one call per cell per group
+}
+
+TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
+  // 13 two-option slots in one group, capped at 16 states: slots 0-3 keep both
+  // options, slots 4-12 only option 0.
+  auto make_space = [](double bytes0, double bytes1) {
+    SearchSpace space;
+    space.slot_num_options.assign(13, 2);
+    space.group_slots.push_back({});
+    for (int s = 0; s < 13; ++s) {
+      space.group_slots[0].push_back(s);
+      space.slot_option_bytes.push_back({bytes0, bytes1});
+    }
+    return space;
+  };
+  auto cost = [](int, const int* o) {
+    double c = 0.0;
+    for (int i = 0; i < 13; ++i) {
+      c += o[i] == 0 ? 1.0 : 0.0;
+    }
+    return c;
+  };
+  SearchEngineOptions options;
+  options.max_states = 16;
+
+  // Option 0 is light: the capped subset fits, so the answer must honor the budget.
+  options.memory_budget = 13.0 + 2.0 * 4.0;
+  SearchEngine light(make_space(1.0, 3.0), options);
+  SearchEngine::Result fits = light.Run(cost);
+  EXPECT_FALSE(fits.stats.exact);
+  ASSERT_TRUE(fits.feasible);
+  EXPECT_LE(fits.best_bytes, options.memory_budget);
+  double bytes = 0.0;
+  for (int o : fits.slot_option) {
+    bytes += o == 0 ? 1.0 : 3.0;
+  }
+  EXPECT_DOUBLE_EQ(bytes, fits.best_bytes);
+  EXPECT_DOUBLE_EQ(fits.best_cost, 9.0);  // slots 0-3 take the free option 1
+
+  // Option 0 is heavy: the full space fits (all option 1), the capped subset cannot.
+  options.memory_budget = 13.0 * 1.0 + 4.0;
+  SearchEngine heavy(make_space(5.0, 1.0), options);
+  SearchEngine::Result none = heavy.Run(cost);
+  EXPECT_FALSE(none.stats.exact);
+  EXPECT_FALSE(none.feasible);
+}
+
+// ------------------------------------------------------ exhaustive oracle
+// Seeded tiny spaces checked against brute force over every assignment, in table and
+// streamed mode at 1 and 4 threads. Without a binding budget the sweep is an exact DP,
+// and its tie-break is pinned: minimize cost (then bytes when budgeted), and among
+// equal optima take the lexicographically smallest assignment comparing slots in the
+// REVERSE of the projection sequence (slots branch in group order, ascending id within
+// a group; the newest-branched slot leaving at a group is projected first). Under a
+// tight budget the sweep keeps one state per residue, so it must match brute-force
+// feasibility and stay within budget, but may miss the optimum (docs/search.md,
+// "Memory-constrained search").
+struct TinySpace {
+  SearchSpace space;
+  std::vector<std::vector<double>> table;  // per group, mixed radix, last slot fastest
+  std::vector<int> compare_order;          // reverse projection sequence
+};
+
+TinySpace MakeTinySpace(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  TinySpace t;
+  const int slots = pick(1, 6);
+  for (int s = 0; s < slots; ++s) {
+    const int n = pick(1, 3);
+    t.space.slot_num_options.push_back(n);
+    t.space.slot_option_bytes.emplace_back();
+    for (int o = 0; o < n; ++o) {
+      t.space.slot_option_bytes.back().push_back(pick(1, 4));
+    }
+  }
+  const int groups = pick(1, 5);
+  for (int g = 0; g < groups; ++g) {
+    std::vector<int> touched;
+    std::int64_t cells = 1;
+    for (int s = 0; s < slots; ++s) {
+      if (pick(0, 1) == 1) {
+        touched.push_back(s);
+        cells *= t.space.slot_num_options[static_cast<size_t>(s)];
+      }
+    }
+    t.space.group_slots.push_back(touched);
+    t.table.emplace_back();
+    for (std::int64_t c = 0; c < cells; ++c) {
+      t.table.back().push_back(pick(0, 2));
+    }
+  }
+  // Projection sequence: per group, leaving slots newest-branched first.
+  std::vector<int> first(static_cast<size_t>(slots), -1);
+  std::vector<int> last(static_cast<size_t>(slots), -1);
+  std::vector<int> branch_pos(static_cast<size_t>(slots), -1);
+  int next_pos = 0;
+  for (int g = 0; g < groups; ++g) {
+    for (int s : t.space.group_slots[static_cast<size_t>(g)]) {
+      if (first[static_cast<size_t>(s)] < 0) {
+        first[static_cast<size_t>(s)] = g;
+        branch_pos[static_cast<size_t>(s)] = next_pos++;
+      }
+      last[static_cast<size_t>(s)] = g;
+    }
+  }
+  std::vector<int> projection;
+  for (int g = 0; g < groups; ++g) {
+    std::vector<int> leaving;
+    for (int s : t.space.group_slots[static_cast<size_t>(g)]) {
+      if (last[static_cast<size_t>(s)] == g) {
+        leaving.push_back(s);
+      }
+    }
+    std::sort(leaving.begin(), leaving.end(), [&](int a, int b) {
+      return branch_pos[static_cast<size_t>(a)] > branch_pos[static_cast<size_t>(b)];
+    });
+    projection.insert(projection.end(), leaving.begin(), leaving.end());
+  }
+  t.compare_order.assign(projection.rbegin(), projection.rend());
+  return t;
+}
+
+double TinyGroupCost(const TinySpace& t, int g, const int* o) {
+  const std::vector<int>& touched = t.space.group_slots[static_cast<size_t>(g)];
+  std::int64_t idx = 0;
+  for (size_t i = 0; i < touched.size(); ++i) {
+    idx = idx * t.space.slot_num_options[static_cast<size_t>(touched[i])] + o[i];
+  }
+  return t.table[static_cast<size_t>(g)][static_cast<size_t>(idx)];
+}
+
+// Cost and bytes of one full assignment (untouched slots must be at option 0).
+std::pair<double, double> TinyEvaluate(const TinySpace& t, const std::vector<int>& assign) {
+  double cost = 0.0;
+  for (size_t g = 0; g < t.space.group_slots.size(); ++g) {
+    std::vector<int> o;
+    for (int s : t.space.group_slots[g]) {
+      o.push_back(assign[static_cast<size_t>(s)]);
+    }
+    cost += TinyGroupCost(t, static_cast<int>(g), o.data());
+  }
+  double bytes = 0.0;
+  for (size_t s = 0; s < assign.size(); ++s) {
+    bytes += t.space.slot_option_bytes[s][static_cast<size_t>(assign[s])];
+  }
+  return {cost, bytes};
+}
+
+TEST(SearchEngineOracle, MatchesExhaustiveSearchOnTinySpaces) {
+  int tight_cases = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const TinySpace t = MakeTinySpace(seed);
+    const int slots = static_cast<int>(t.space.slot_num_options.size());
+    std::vector<char> touched(static_cast<size_t>(slots), 0);
+    for (const std::vector<int>& group : t.space.group_slots) {
+      for (int s : group) {
+        touched[static_cast<size_t>(s)] = 1;
+      }
+    }
+    // Every assignment of the touched slots, with its cost and bytes.
+    std::vector<std::vector<int>> assignments;
+    std::vector<int> assign(static_cast<size_t>(slots), 0);
+    for (;;) {
+      assignments.push_back(assign);
+      int s = slots - 1;
+      for (; s >= 0; --s) {
+        if (touched[static_cast<size_t>(s)] &&
+            ++assign[static_cast<size_t>(s)] < t.space.slot_num_options[static_cast<size_t>(s)]) {
+          break;
+        }
+        assign[static_cast<size_t>(s)] = 0;
+      }
+      if (s < 0) {
+        break;
+      }
+    }
+    double max_bytes = 0.0;
+    double min_bytes = std::numeric_limits<double>::infinity();
+    for (const std::vector<int>& a : assignments) {
+      max_bytes = std::max(max_bytes, TinyEvaluate(t, a).second);
+      min_bytes = std::min(min_bytes, TinyEvaluate(t, a).second);
+    }
+    std::mt19937_64 rng(seed * 7919);
+    const double tight = min_bytes - 1.0 + static_cast<double>(rng() % 6);
+    for (double budget : {0.0, max_bytes, tight}) {
+      const bool exact_rules = budget == 0.0 || budget >= max_bytes;
+      // Brute force: best feasible assignment under the oracle's order.
+      const std::vector<int>* best = nullptr;
+      std::pair<double, double> best_eval;
+      for (const std::vector<int>& a : assignments) {
+        const std::pair<double, double> e = TinyEvaluate(t, a);
+        if (budget > 0.0 && e.second > budget) {
+          continue;
+        }
+        bool better = best == nullptr || e.first < best_eval.first;
+        if (!better && e.first == best_eval.first) {
+          if (budget > 0.0 && e.second != best_eval.second) {
+            better = e.second < best_eval.second;
+          } else {
+            for (int s : t.compare_order) {
+              if (a[static_cast<size_t>(s)] != (*best)[static_cast<size_t>(s)]) {
+                better = a[static_cast<size_t>(s)] < (*best)[static_cast<size_t>(s)];
+                break;
+              }
+            }
+          }
+        }
+        if (better) {
+          best = &a;
+          best_eval = e;
+        }
+      }
+      tight_cases += exact_rules ? 0 : 1;
+      for (int threads : {1, 4}) {
+        SearchEngineOptions options;
+        options.num_threads = threads;
+        options.memory_budget = budget;
+        options.prune_dominated = seed % 2 == 0;
+        SearchEngine engine(t.space, options);
+        SearchEngine::Result table =
+            engine.Run([&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
+        SearchEngine::Result streamed = engine.RunStreamed([&t](int g, const int* o, double* c) {
+          *c = TinyGroupCost(t, g, o);
+          return true;
+        });
+        for (const SearchEngine::Result* res : {&table, &streamed}) {
+          const std::string where = "seed " + std::to_string(seed) + " budget " +
+                                    std::to_string(budget) + " threads " +
+                                    std::to_string(threads) +
+                                    (res == &table ? " table" : " streamed");
+          ASSERT_TRUE(res->completed) << where;
+          ASSERT_EQ(res->feasible, best != nullptr) << where;
+          if (best == nullptr) {
+            continue;
+          }
+          const std::pair<double, double> got = TinyEvaluate(t, res->slot_option);
+          EXPECT_DOUBLE_EQ(res->best_cost, got.first) << where;
+          if (budget > 0.0) {
+            EXPECT_DOUBLE_EQ(res->best_bytes, got.second) << where;
+            EXPECT_LE(res->best_bytes, budget) << where;
+          }
+          if (exact_rules) {
+            EXPECT_EQ(res->slot_option, *best) << where;
+          } else {
+            EXPECT_GE(res->best_cost, best_eval.first) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tight_cases, 100);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # in docs/tdl.md (as a backticked `name`), and every partition-algorithm name returned by
 # AlgorithmName (src/tofu/core/session.cc) must appear in both docs/serving.md and
 # docs/api.md, and the shard-kernel cost recipe must stay in one place (KernelSeconds is
-# called only under src/tofu/sim/). Run from anywhere; exits non-zero listing the drift. CI runs this on every
-# push (see .github/workflows/ci.yml).
+# called only under src/tofu/sim/), and every search_stats key plan JSON carries must be
+# documented in docs/search.md. Run from anywhere; exits non-zero listing the drift. CI
+# runs this on every push (see .github/workflows/ci.yml).
 set -u
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 doc="$repo/docs/tdl.md"
@@ -111,3 +112,31 @@ if [[ -n "$copies" ]]; then
   exit 1
 fi
 echo "check_docs: KernelSeconds is called only under src/tofu/sim/"
+
+# Every key PlanToJson writes inside "search_stats" must be documented (backticked) in
+# docs/search.md: those counters are serialized into plans and digests, so a change to
+# what one counts is a change the search doc has to explain.
+plan_io="$repo/src/tofu/partition/plan_io.cc"
+stats_keys=$(
+  sed -n '/Key("search_stats").BeginObject()/,/EndObject()/p' "$plan_io" |
+    grep -oE 'Key\("[a-z_]+"\)' | sed -E 's/Key\("(.+)"\)/\1/' | grep -v '^search_stats$' |
+    sort -u
+)
+if [[ -z "$stats_keys" ]]; then
+  echo "check_docs: found no search_stats keys in $plan_io -- pattern drift?" >&2
+  exit 1
+fi
+stats_missing=0
+stats_total=0
+for key in $stats_keys; do
+  stats_total=$((stats_total + 1))
+  if ! grep -q "\`$key\`" "$repo/docs/search.md"; then
+    echo "check_docs: search_stats key '$key' is serialized but not documented in docs/search.md" >&2
+    stats_missing=$((stats_missing + 1))
+  fi
+done
+if [[ $stats_missing -gt 0 ]]; then
+  echo "check_docs: $stats_missing serialized search_stats keys missing from docs/search.md" >&2
+  exit 1
+fi
+echo "check_docs: all $stats_total serialized search_stats keys documented in docs/search.md"

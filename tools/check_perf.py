@@ -23,7 +23,7 @@ Fails (exit 1) when:
     normalized plan JSON (cuts, strategies, costs, per-step peaks -- everything but the
     search wall time), so the gate catches a changed plan even when its comm total
     happens to be unchanged, keeping the no-budget search path bit-identical;
-  * an exact search became beam-degraded;
+  * an exact search became approximate (an over-cap search);
   * the Session plan cache did not hit on a repeated identical request, or the cached
     plan was not byte-identical to a fresh session's plan (the serving-path contract of
     core/session.h -- fields session_cache_hit / cached_plan_identical in the bench
@@ -265,7 +265,7 @@ def main() -> int:
             )
             failed = True
         if base.get("exact", True) and not row.get("exact", True):
-            print(f"FAIL  {row['model']}: search became beam-degraded")
+            print(f"FAIL  {row['model']}: search became approximate (over the state cap)")
             failed = True
     for row in current["results"]:
         est = row.get("estimated_comm_seconds")
