@@ -1,6 +1,8 @@
 // Golden plan regression: the Table-1 models' uniform-topology plans are pinned by
 // digest to their pre-interconnect values (bench/baseline_table1.json carries the same
-// constants for the perf gate). The interconnect work routes all topology awareness
+// constants for the perf gate). The baselines, the lightest-cuts budget witness and the
+// flat DP are pinned the same way, so a refactor of the shared step machinery (cost
+// terms, strategy pick, step fold) cannot move any plan builder unnoticed. The interconnect work routes all topology awareness
 // through PartitionOptions::step_bandwidths, and a uniform topology fills a single
 // scalar -- which, by the DP-argmin argument in partition/dp.h, cannot change any
 // partition decision. These tests make that guarantee executable: if a refactor
@@ -8,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "tofu/core/session.h"
+#include "tofu/models/mlp.h"
 #include "tofu/models/rnn.h"
 #include "tofu/models/wresnet.h"
+#include "tofu/partition/baselines.h"
+#include "tofu/partition/flat_dp.h"
 #include "tofu/partition/plan_io.h"
 #include "tofu/partition/recursive.h"
 
@@ -73,6 +78,52 @@ TEST(PlanGoldens, WResNet152PlanIsBitIdenticalToPreInterconnectBaseline) {
 
 TEST(PlanGoldens, Rnn10PlanIsBitIdenticalToPreInterconnectBaseline) {
   ExpectGolden(Table1Rnn(), kRnnDigest);
+}
+
+// Digests of the baseline algorithms on the Table-1 models at 8 workers, recorded before
+// the baselines shared the recursion's step fold and strategy pick.
+TEST(PlanGoldens, BaselinePlansAreBitIdentical) {
+  const ModelGraph wresnet = Table1WResNet();
+  const ModelGraph rnn = Table1Rnn();
+  EXPECT_EQ(PlanDigest(DataParallelPlan(wresnet.graph, 8)), "6f32d4170d9fbc54");
+  EXPECT_EQ(PlanDigest(DataParallelPlan(rnn.graph, 8)), "540cb95e30b7fb2f");
+  EXPECT_EQ(PlanDigest(AllRowGreedyPlan(wresnet.graph, 8)), "6aa6ec76e41d0f35");
+  EXPECT_EQ(PlanDigest(AllRowGreedyPlan(rnn.graph, 8)), "d4d1150de391deb4");
+  EXPECT_EQ(PlanDigest(SpartanGreedyPlan(wresnet.graph, 8)), "df72f5facb5838ee");
+  EXPECT_EQ(PlanDigest(SpartanGreedyPlan(rnn.graph, 8)), "81f89cca77218300");
+  EXPECT_EQ(PlanDigest(EqualChopPlan(wresnet.graph, 8)), "0e8eb3a660cbc7e8");
+  EXPECT_EQ(PlanDigest(EqualChopPlan(rnn.graph, 8)), "5325c967681e64c7");
+  EXPECT_EQ(PlanDigest(Icml18Plan(wresnet.graph, 8)), "a4a5532596c7b3b7");
+  EXPECT_EQ(PlanDigest(Icml18Plan(rnn.graph, 8)), "96abe7e63f31a8e2");
+}
+
+// An impossible budget without repair returns the lightest-cuts witness
+// (recursive.cc's fallback, tried over every factor ordering).
+TEST(PlanGoldens, LightestCutsWitnessIsBitIdentical) {
+  PartitionOptions options;
+  options.memory_budget_bytes = 1;
+  options.memory_policy = MemoryPolicy::kNone;
+  const PartitionPlan wresnet = RecursivePartition(Table1WResNet().graph, 8, options);
+  EXPECT_FALSE(wresnet.memory_feasible);
+  EXPECT_EQ(PlanDigest(wresnet), "7fa7ece25b28f3fc");
+  const PartitionPlan rnn = RecursivePartition(Table1Rnn().graph, 12, options);
+  EXPECT_FALSE(rnn.memory_feasible);
+  EXPECT_EQ(PlanDigest(rnn), "80236df34dbe251e");
+}
+
+// The flat DP's plan on the tiny MLP it completes on (test_recursive.cc's FlatDp cases).
+TEST(PlanGoldens, FlatDpPlanIsBitIdentical) {
+  MlpConfig config;
+  config.layer_sizes = {128, 96};
+  config.batch = 32;
+  config.with_bias = false;
+  const ModelGraph model = BuildMlp(config);
+  FlatDpOptions options;
+  options.num_workers = 4;
+  options.time_budget_seconds = 30.0;
+  const FlatDpResult flat = RunFlatDp(model.graph, Coarsen(model.graph), options);
+  ASSERT_TRUE(flat.completed);
+  EXPECT_EQ(PlanDigest(flat.plan), "bac04bfb28a26f12");
 }
 
 }  // namespace
