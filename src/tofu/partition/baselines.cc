@@ -4,7 +4,7 @@
 #include <limits>
 #include <numeric>
 
-#include "tofu/partition/group_config.h"
+#include "tofu/partition/strategy.h"
 #include "tofu/util/logging.h"
 
 namespace tofu {
@@ -29,21 +29,15 @@ PartitionPlan BuildStepwisePlan(const Graph& graph, int num_workers, CutFn&& ass
     return plan;
   }
   plan.step_factors = FactorizeWorkers(num_workers);
-  std::vector<Shape> shapes = StepContext::InitialShapes(graph);
-  double groups = 1.0;
+  StepFold fold(graph, &plan);
   for (int factor : plan.step_factors) {
-    StepContext ctx(graph, shapes, factor);
+    StepContext ctx(graph, fold.shapes(), factor);
     BasicPlan step;
     step.ways = factor;
     step.tensor_cut.assign(static_cast<size_t>(graph.num_tensors()), kReplicated);
     assign_cuts(&ctx, &step);
     AssignGreedyOpStrategies(&ctx, &step);
-    const double weighted = groups * step.comm_bytes;
-    plan.weighted_step_costs.push_back(weighted);
-    plan.total_comm_bytes += weighted;
-    shapes = StepContext::ApplyBasicPlan(graph, shapes, step);
-    plan.steps.push_back(std::move(step));
-    groups *= static_cast<double>(factor);
+    fold.Append(std::move(step), 0.0);
   }
   return plan;
 }
@@ -164,12 +158,11 @@ PartitionPlan EqualChopPlan(const Graph& graph, int num_workers,
   // One k-way step: every tensor chopped along exactly one dimension.
   plan.step_factors = {num_workers};
   const CoarseGraph coarse = Coarsen(graph, options.coarsen);
-  StepContext ctx(graph, StepContext::InitialShapes(graph), num_workers);
+  StepFold fold(graph, &plan);
+  StepContext ctx(graph, fold.shapes(), num_workers);
   DpResult dp = RunStepDp(&ctx, coarse, options.dp);
   plan.search_stats = dp.stats;
-  plan.weighted_step_costs.push_back(dp.plan.comm_bytes);
-  plan.total_comm_bytes = dp.plan.comm_bytes;
-  plan.steps.push_back(std::move(dp.plan));
+  fold.Append(std::move(dp.plan), options.dp.link_bandwidth);
   return plan;
 }
 

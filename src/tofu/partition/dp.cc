@@ -34,18 +34,17 @@ std::string DpOptions::Fingerprint() const {
 namespace dp_internal {
 
 // Precompiled cost evaluator of one unit at this step. Strategy applicability, tensor
-// sizes and halo volumes are shape-only facts, resolved ONCE per step; on top of that,
+// sizes and halo extents are shape-only facts, resolved ONCE per step; on top of that,
 // every term's cost contribution is a function of ONE slot's cut option only, so the
-// contribution is precomputed per (term, option) into one flat value pool. The hot
+// contribution -- the Lemma-1 table entry, InputCommBytes / OutputCommBytes in
+// strategy.h -- is precomputed per (term, option) into one flat value pool. The hot
 // evaluation -- the function the per-group cost tables are filled from, the hottest
 // code in the search -- is then a branch-free gather-accumulate: values[t.val_begin +
 // option[t.slot]] summed in a fixed order.
 //
-// Floating-point accumulation order deliberately mirrors StepContext::OpCommBytes
-// (per-op subtotals, inputs then output) so costs are bit-identical to evaluating
-// through StepContext. Terms whose branchy original would have SKIPPED the add (e.g. a
-// replicated stored cut) contribute an explicit 0.0 instead; every contribution is
-// non-negative, so adding 0.0 is bitwise-neutral (no -0.0 can arise).
+// The accumulation order deliberately follows StepContext::OpCommBytes (per-op
+// subtotals, inputs then output) so per-op costs are bit-identical to evaluating
+// through StepContext.
 struct TermRef {
   int slot;       // the tensor's slot (options are per slot)
   int val_begin;  // UnitEval::values[val_begin + option] is this term's contribution
@@ -82,16 +81,19 @@ UnitEval BuildUnitEval(StepContext* ctx, const CoarseGraph& coarse, const Unit& 
                        bool allow_reduction, const std::vector<double>& tensor_bytes,
                        const std::vector<const std::vector<int>*>& slot_options) {
   const Graph& graph = ctx->graph();
-  const double f = static_cast<double>(ctx->ways());
-  const double fm1 = f - 1.0;
+  const int ways = ctx->ways();
   UnitEval ue;
 
-  // Appends one term's per-option values (`value(cut)` evaluated for every cut option
-  // of `slot`, in option order) and returns its TermRef.
-  auto add_term = [&ue, &slot_options](int slot, auto&& value) {
+  // Appends the table entry of one input term (requirement `req` on tensor `t`) for
+  // every cut option of its slot, in option order, and returns its TermRef.
+  auto add_input = [&](TensorId t, const ConcreteInputReq& req) {
+    const int slot = coarse.tensor_slot[static_cast<size_t>(t)];
+    const double size = tensor_bytes[static_cast<size_t>(t)];
+    const std::int64_t extent =
+        req.kind == InputReq::Kind::kSplit ? ctx->shape(t)[static_cast<size_t>(req.dim)] : 0;
     TermRef ref{slot, static_cast<int>(ue.values.size())};
     for (int cut : *slot_options[static_cast<size_t>(slot)]) {
-      ue.values.push_back(value(cut));
+      ue.values.push_back(InputCommBytes(size, ways, req, extent, cut));
     }
     return ref;
   };
@@ -101,10 +103,7 @@ UnitEval BuildUnitEval(StepContext* ctx, const CoarseGraph& coarse, const Unit& 
     const OpNode& op = graph.op(op_id);
     ue.repl_op_sizes.push_back(static_cast<int>(op.inputs.size()));
     for (TensorId t : op.inputs) {
-      const double size = tensor_bytes[static_cast<size_t>(t)];
-      ue.repl_terms.push_back(add_term(
-          coarse.tensor_slot[static_cast<size_t>(t)],
-          [&](int cut) { return cut == kReplicated ? 0.0 : size * fm1; }));
+      ue.repl_terms.push_back(add_input(t, kWholeInput));
     }
   }
 
@@ -134,49 +133,14 @@ UnitEval BuildUnitEval(StepContext* ctx, const CoarseGraph& coarse, const Unit& 
       OpTerms terms;
       terms.num_inputs = static_cast<int>(op.inputs.size());
       for (size_t i = 0; i < op.inputs.size(); ++i) {
-        const ConcreteInputReq& req = s.inputs[i];
-        const double size = tensor_bytes[static_cast<size_t>(op.inputs[i])];
-        const bool whole = req.kind == InputReq::Kind::kReplicated;
-        const int req_dim = whole ? -1 : req.dim;
-        double halo_bytes = 0.0;
-        if (!whole) {
-          const std::int64_t extent =
-              ctx->shape(op.inputs[i])[static_cast<size_t>(req.dim)];
-          if (req.halo_elems > 0 && extent > 0) {
-            const double slab =
-                size * static_cast<double>(req.halo_elems) / static_cast<double>(extent);
-            halo_bytes = 2.0 * (f - 1.0) * slab;
-          }
-        }
-        ue.terms.push_back(add_term(
-            coarse.tensor_slot[static_cast<size_t>(op.inputs[i])], [&](int stored) {
-              if (stored == kReplicated) {
-                return 0.0;  // every worker already holds the whole tensor
-              }
-              if (whole) {
-                return size * fm1;  // all-gather the other shards
-              }
-              if (stored == req_dim) {
-                return halo_bytes;  // aligned: only the halo moves
-              }
-              return size * fm1 / f + halo_bytes;  // cross-cut shuffle
-            }));
+        ue.terms.push_back(add_input(op.inputs[i], s.inputs[i]));
       }
+      const int out_slot = coarse.tensor_slot[static_cast<size_t>(op.output)];
       const double out_size = tensor_bytes[static_cast<size_t>(op.output)];
-      const bool is_reduction = s.is_reduction;
-      const int output_dim = s.output_dim;
-      terms.out = add_term(coarse.tensor_slot[static_cast<size_t>(op.output)],
-                           [&](int stored) {
-                             if (is_reduction) {
-                               return stored == kReplicated ? 2.0 * out_size * fm1
-                                                            : out_size * fm1;
-                             }
-                             if (stored == output_dim) {
-                               return 0.0;  // output already lands in the stored cut
-                             }
-                             return stored == kReplicated ? out_size * fm1
-                                                          : out_size * fm1 / f;
-                           });
+      terms.out = TermRef{out_slot, static_cast<int>(ue.values.size())};
+      for (int cut : *slot_options[static_cast<size_t>(out_slot)]) {
+        ue.values.push_back(OutputCommBytes(out_size, ways, s, cut));
+      }
       ue.ops.push_back(terms);
     }
     se.op_end = static_cast<int>(ue.ops.size());

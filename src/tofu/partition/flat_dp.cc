@@ -69,62 +69,18 @@ void EnumerateStrategySeqs(int num_strategies, const std::vector<int>& factors, 
   }
 }
 
-// Mirror of StepContext's cost conventions over locally-tracked shapes (see strategy.h for
-// the table). `size` and extents reflect the tensor after `step` micro-steps of its tiling.
-struct LocalCost {
-  const Graph* graph;
-  const std::vector<int>* factors;
-
-  double TensorBytesAt(TensorId t, const Tiling& tiling, size_t step) const {
-    double size = static_cast<double>(graph->tensor(t).bytes());
-    for (size_t i = 0; i < step; ++i) {
-      if (tiling[i] != kReplicated) {
-        size /= static_cast<double>((*factors)[i]);
-      }
+// Bytes of tensor `t` after the first `step` micro-steps of its tiling (each cut divides
+// the size by that step's factor; no rounding), the size the cost table prices it at.
+double TensorBytesAt(const Graph& graph, TensorId t, const Tiling& tiling,
+                     const std::vector<int>& factors, size_t step) {
+  double size = static_cast<double>(graph.tensor(t).bytes());
+  for (size_t i = 0; i < step; ++i) {
+    if (tiling[i] != kReplicated) {
+      size /= static_cast<double>(factors[i]);
     }
-    return size;
   }
-
-  double InputCost(TensorId t, const ConcreteInputReq& req, const Tiling& tiling,
-                   size_t step) const {
-    const double f = static_cast<double>((*factors)[step]);
-    const int stored = tiling[step];
-    const double size = TensorBytesAt(t, tiling, step);
-    if (stored == kReplicated) {
-      return 0.0;
-    }
-    if (req.kind == InputReq::Kind::kReplicated) {
-      return size * (f - 1.0);
-    }
-    double halo = 0.0;
-    const std::int64_t extent = graph->tensor(t).shape[static_cast<size_t>(req.dim)];
-    if (req.halo_elems > 0 && extent > 0) {
-      halo = 2.0 * (f - 1.0) * size * static_cast<double>(req.halo_elems) /
-             static_cast<double>(extent);
-    }
-    if (stored == req.dim) {
-      return halo;
-    }
-    return size * (f - 1.0) / f + halo;
-  }
-
-  double OutputCost(TensorId t, const ConcreteStrategy& s, const Tiling& tiling,
-                    size_t step) const {
-    const double f = static_cast<double>((*factors)[step]);
-    const int stored = tiling[step];
-    const double size = TensorBytesAt(t, tiling, step);
-    if (s.is_reduction) {
-      return stored == kReplicated ? 2.0 * size * (f - 1.0) : size * (f - 1.0);
-    }
-    if (stored == s.output_dim) {
-      return 0.0;
-    }
-    if (stored == kReplicated) {
-      return size * (f - 1.0);
-    }
-    return size * (f - 1.0) / f;
-  }
-};
+  return size;
+}
 
 }  // namespace
 
@@ -177,17 +133,19 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
     result.configs_total += per_group;
   }
 
-  LocalCost cost{&graph, &factors};
-
   // Joint cost of one group configuration: all micro-steps, weighted by group counts.
+  // Halo slabs are sized by the tensor's original extent along the split dimension.
   auto group_config_cost = [&](const MacroGroup& group,
                                const std::vector<const Tiling*>& tiling_of_slot,
                                const std::vector<const std::vector<int>*>& seq_of_unit)
       -> double {
+    auto tiling_of = [&](TensorId t) -> const Tiling& {
+      return *tiling_of_slot[static_cast<size_t>(coarse.tensor_slot[static_cast<size_t>(t)])];
+    };
     double total = 0.0;
     double groups_at_step = 1.0;
     for (size_t step = 0; step < m; ++step) {
-      const double f = static_cast<double>(factors[step]);
+      const int ways = factors[step];
       for (size_t ui = 0; ui < group.units.size(); ++ui) {
         const Unit& unit = coarse.units[static_cast<size_t>(group.units[ui])];
         const int choice = (*seq_of_unit[ui])[step];
@@ -202,25 +160,25 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
           }
           for (size_t i = 0; i < op.inputs.size(); ++i) {
             const TensorId t = op.inputs[i];
-            const Tiling& tiling =
-                *tiling_of_slot[static_cast<size_t>(coarse.tensor_slot[static_cast<size_t>(t)])];
-            if (strat == nullptr) {
-              if (tiling[step] != kReplicated) {
-                total += groups_at_step * cost.TensorBytesAt(t, tiling, step) * (f - 1.0);
-              }
-            } else {
-              total += groups_at_step * cost.InputCost(t, strat->inputs[i], tiling, step);
-            }
+            const Tiling& tiling = tiling_of(t);
+            const ConcreteInputReq& req = strat == nullptr ? kWholeInput : strat->inputs[i];
+            const std::int64_t extent =
+                req.kind == InputReq::Kind::kSplit
+                    ? graph.tensor(t).shape[static_cast<size_t>(req.dim)]
+                    : 0;
+            total += groups_at_step *
+                     InputCommBytes(TensorBytesAt(graph, t, tiling, factors, step), ways,
+                                    req, extent, tiling[step]);
           }
           if (strat != nullptr) {
-            const TensorId t = op.output;
-            const Tiling& tiling =
-                *tiling_of_slot[static_cast<size_t>(coarse.tensor_slot[static_cast<size_t>(t)])];
-            total += groups_at_step * cost.OutputCost(t, *strat, tiling, step);
+            const Tiling& tiling = tiling_of(op.output);
+            total += groups_at_step *
+                     OutputCommBytes(TensorBytesAt(graph, op.output, tiling, factors, step),
+                                     ways, *strat, tiling[step]);
           }
         }
       }
-      groups_at_step *= f;
+      groups_at_step *= static_cast<double>(ways);
     }
     return total;
   };
@@ -335,8 +293,7 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
   plan.num_workers = options.num_workers;
   plan.step_factors = factors;
   plan.memory_budget_bytes = options.memory_budget_bytes;
-  std::vector<Shape> shapes = StepContext::InitialShapes(graph);
-  double groups_at_step = 1.0;
+  StepFold fold(graph, &plan);
   for (size_t step = 0; step < m; ++step) {
     BasicPlan bp;
     bp.ways = factors[step];
@@ -347,42 +304,12 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
           slot_tilings[static_cast<size_t>(slot)][static_cast<size_t>(
               slot_choice[static_cast<size_t>(slot)])][step];
     }
-    StepContext ctx(graph, shapes, factors[step]);
-    bp.op_strategy.assign(static_cast<size_t>(graph.num_ops()), kReplicatedExec);
-    bp.comm_bytes = 0.0;
-    for (OpId op_id = 0; op_id < graph.num_ops(); ++op_id) {
-      // Replicated execution competes on cost, matching the DP's UnitCost semantics.
-      double op_best = ctx.OpCommBytes(op_id, kReplicatedExec, bp.tensor_cut);
-      int op_choice = kReplicatedExec;
-      const int n = static_cast<int>(ctx.Strategies(op_id).size());
-      for (int sidx = 0; sidx < n; ++sidx) {
-        if (!options.allow_reduction_strategies &&
-            ctx.Strategies(op_id)[static_cast<size_t>(sidx)].is_reduction) {
-          continue;
-        }
-        if (!ctx.Applicable(op_id, sidx)) {
-          continue;
-        }
-        const double c = ctx.OpCommBytes(op_id, sidx, bp.tensor_cut);
-        if (c < op_best) {
-          op_best = c;
-          op_choice = sidx;
-        }
-      }
-      bp.op_strategy[static_cast<size_t>(op_id)] = op_choice;
-      bp.comm_bytes += op_best;
-    }
+    StepContext ctx(graph, fold.shapes(), bp.ways);
+    AssignGreedyOpStrategies(&ctx, &bp, options.allow_reduction_strategies);
     bp.peak_shard_bytes = StepResidentBytes(
-        graph, bp.tensor_cut, factors[step],
-        [&shapes](TensorId t) -> const Shape& {
-          return shapes[static_cast<size_t>(t)];
-        });
-    const double weighted = groups_at_step * bp.comm_bytes;
-    plan.weighted_step_costs.push_back(weighted);
-    plan.total_comm_bytes += weighted;
-    shapes = StepContext::ApplyBasicPlan(graph, shapes, bp);
-    plan.steps.push_back(std::move(bp));
-    groups_at_step *= static_cast<double>(factors[step]);
+        graph, bp.tensor_cut, bp.ways,
+        [&ctx](TensorId t) -> const Shape& { return ctx.shape(t); });
+    fold.Append(std::move(bp), 0.0);
   }
   result.plan = std::move(plan);
   return result;

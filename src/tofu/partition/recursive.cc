@@ -44,26 +44,6 @@ std::int64_t StepBudget(std::int64_t budget, const std::vector<int>& factors, si
   return budget * remaining;
 }
 
-// Folds one finished step into the plan: weighted cost (appendix Eq. 3), topology-
-// weighted seconds, shrunken shapes for the next step, and the group multiplier.
-// Shared by the DP loop and the lightest-cuts fallback so their per-step bookkeeping
-// can never diverge. step_seconds stays parallel to steps: a step without a usable
-// bandwidth records 0, and the caller drops the whole vector when no step had one.
-void AppendStep(const Graph& graph, BasicPlan step, double link_bandwidth,
-                PartitionPlan* plan, std::vector<Shape>* shapes, double* groups,
-                bool* any_bandwidth) {
-  const double weighted = *groups * step.comm_bytes;
-  plan->weighted_step_costs.push_back(weighted);
-  plan->total_comm_bytes += weighted;
-  const double seconds = link_bandwidth > 0.0 ? weighted / link_bandwidth : 0.0;
-  *any_bandwidth = *any_bandwidth || link_bandwidth > 0.0;
-  plan->step_seconds.push_back(seconds);
-  plan->estimated_comm_seconds += seconds;
-  *shapes = StepContext::ApplyBasicPlan(graph, *shapes, step);
-  *groups *= static_cast<double>(step.ways);
-  plan->steps.push_back(std::move(step));
-}
-
 // Runs the per-step DP loop for one ordering of the step factors. Coarsening is
 // structural and shared by all steps (and all candidate orderings); shapes change per
 // step. With a budget, each step searches under its relaxed bound; a step where even
@@ -75,12 +55,9 @@ PartitionPlan RunSteps(const Graph& graph, int num_workers, const CoarseGraph& c
   plan.num_workers = num_workers;
   plan.step_factors = factors;
   plan.memory_budget_bytes = options.memory_budget_bytes;
-  std::vector<Shape> shapes = StepContext::InitialShapes(graph);
-
-  bool any_bandwidth = false;
-  double groups = 1.0;
+  StepFold fold(graph, &plan);
   for (size_t i = 0; i < factors.size(); ++i) {
-    StepContext ctx(graph, shapes, factors[i]);
+    StepContext ctx(graph, fold.shapes(), factors[i]);
     DpOptions dp_options = options.dp;
     // Per-step bandwidths take precedence; a caller-set flat dp.link_bandwidth (the
     // dp.h contract) survives when no step_bandwidths were provided.
@@ -95,11 +72,7 @@ PartitionPlan RunSteps(const Graph& graph, int num_workers, const CoarseGraph& c
       plan.memory_feasible = false;
       return plan;
     }
-    AppendStep(graph, std::move(dp.plan), dp_options.link_bandwidth, &plan, &shapes,
-               &groups, &any_bandwidth);
-  }
-  if (!any_bandwidth) {
-    plan.step_seconds.clear();  // topology-agnostic search: no estimates at all
+    fold.Append(std::move(dp.plan), dp_options.link_bandwidth);
   }
   return plan;
 }
@@ -119,13 +92,10 @@ PartitionPlan MinBytesSteps(const Graph& graph, int num_workers, const CoarseGra
   plan.num_workers = num_workers;
   plan.step_factors = factors;
   plan.memory_budget_bytes = options.memory_budget_bytes;
-  std::vector<Shape> shapes = StepContext::InitialShapes(graph);
-
-  bool any_bandwidth = false;
-  double groups = 1.0;
+  StepFold fold(graph, &plan);
   for (size_t i = 0; i < factors.size(); ++i) {
     const int f = factors[i];
-    StepContext ctx(graph, shapes, f);
+    StepContext ctx(graph, fold.shapes(), f);
     BasicPlan bp;
     bp.ways = f;
     bp.tensor_cut.assign(static_cast<size_t>(graph.num_tensors()), kReplicated);
@@ -150,40 +120,12 @@ PartitionPlan MinBytesSteps(const Graph& graph, int num_workers, const CoarseGra
         bp.tensor_cut[static_cast<size_t>(t)] = best_cut;
       }
     }
-    bp.op_strategy.assign(static_cast<size_t>(graph.num_ops()), kReplicatedExec);
-    for (OpId op_id = 0; op_id < graph.num_ops(); ++op_id) {
-      double op_best = ctx.OpCommBytes(op_id, kReplicatedExec, bp.tensor_cut);
-      int op_choice = kReplicatedExec;
-      const int n = static_cast<int>(ctx.Strategies(op_id).size());
-      for (int sidx = 0; sidx < n; ++sidx) {
-        if (!options.dp.allow_reduction_strategies &&
-            ctx.Strategies(op_id)[static_cast<size_t>(sidx)].is_reduction) {
-          continue;
-        }
-        if (!ctx.Applicable(op_id, sidx)) {
-          continue;
-        }
-        const double c = ctx.OpCommBytes(op_id, sidx, bp.tensor_cut);
-        if (c < op_best) {
-          op_best = c;
-          op_choice = sidx;
-        }
-      }
-      bp.op_strategy[static_cast<size_t>(op_id)] = op_choice;
-      bp.comm_bytes += op_best;
-    }
+    AssignGreedyOpStrategies(&ctx, &bp, options.dp.allow_reduction_strategies);
     bp.peak_shard_bytes = StepResidentBytes(
         graph, bp.tensor_cut, f,
         [&ctx](TensorId t) -> const Shape& { return ctx.shape(t); });
     const double step_bw = StepBandwidth(options, i);
-    const double link_bw = step_bw > 0.0 ? step_bw : options.dp.link_bandwidth;
-    if (link_bw > 0.0) {
-      bp.comm_seconds = bp.comm_bytes / link_bw;
-    }
-    AppendStep(graph, std::move(bp), link_bw, &plan, &shapes, &groups, &any_bandwidth);
-  }
-  if (!any_bandwidth) {
-    plan.step_seconds.clear();
+    fold.Append(std::move(bp), step_bw > 0.0 ? step_bw : options.dp.link_bandwidth);
   }
   // The real memory constraint is the FINAL per-worker residency: intermediate groups
   // are sets of workers, each of which only ever stores its final shard.

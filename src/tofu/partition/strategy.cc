@@ -1,5 +1,7 @@
 #include "tofu/partition/strategy.h"
 
+#include <utility>
+
 #include "tofu/util/logging.h"
 
 namespace tofu {
@@ -104,68 +106,20 @@ const std::vector<int>& StepContext::CutOptions(TensorId t) {
   return cut_options_cache_[static_cast<size_t>(t)];
 }
 
-double StepContext::InputCommBytes(TensorId t, const ConcreteInputReq& req, int stored_cut) {
-  const double size = static_cast<double>(bytes(t));
-  const double f = static_cast<double>(ways_);
-  if (stored_cut == kReplicated) {
-    return 0.0;  // every worker already holds the whole tensor
-  }
-  if (req.kind == InputReq::Kind::kReplicated) {
-    return size * (f - 1.0);  // every worker all-gathers the other shards
-  }
-  // Split requirement. Halo slab: halo_elems rows along req.dim, exchanged at every
-  // internal boundary (both directions).
-  double halo_bytes = 0.0;
-  const Shape& shp = shape(t);
-  const std::int64_t extent = shp[static_cast<size_t>(req.dim)];
-  if (req.halo_elems > 0 && extent > 0) {
-    const double slab = size * static_cast<double>(req.halo_elems) / static_cast<double>(extent);
-    halo_bytes = 2.0 * (f - 1.0) * slab;
-  }
-  if (stored_cut == req.dim) {
-    return halo_bytes;  // aligned: only the halo moves
-  }
-  // Mismatched dimensions: each worker already holds 1/f of what it needs.
-  return size * (f - 1.0) / f + halo_bytes;
-}
-
-double StepContext::OutputCommBytes(TensorId t, const ConcreteStrategy& strat,
-                                    int stored_cut) {
-  const double size = static_cast<double>(bytes(t));
-  const double f = static_cast<double>(ways_);
-  if (strat.is_reduction) {
-    // Partial outputs of full size on every worker, combined with a spread-out reduction
-    // (reduce-scatter; §6's all-reduce spreading). Replicated storage needs the follow-up
-    // all-gather as well.
-    return stored_cut == kReplicated ? 2.0 * size * (f - 1.0) : size * (f - 1.0);
-  }
-  if (stored_cut == strat.output_dim) {
-    return 0.0;
-  }
-  if (stored_cut == kReplicated) {
-    return size * (f - 1.0);  // all-gather the concatenated output
-  }
-  return size * (f - 1.0) / f;  // shuffle between the two cuts
-}
-
 double StepContext::OpInputCommBytes(OpId op_id, int sidx,
                                      const std::vector<int>& tensor_cut) {
   const OpNode& op = graph_->op(op_id);
-  if (sidx == kReplicatedExec) {
-    // Every worker runs the whole op: whole-tensor requirement on each input.
-    double total = 0.0;
-    for (TensorId t : op.inputs) {
-      if (tensor_cut[static_cast<size_t>(t)] != kReplicated) {
-        total += static_cast<double>(bytes(t)) * (static_cast<double>(ways_) - 1.0);
-      }
-    }
-    return total;
-  }
-  const ConcreteStrategy& s = Strategies(op_id)[static_cast<size_t>(sidx)];
+  // Replicated execution: every worker runs the whole op, needing every input whole.
+  const ConcreteStrategy* s =
+      sidx == kReplicatedExec ? nullptr : &Strategies(op_id)[static_cast<size_t>(sidx)];
   double total = 0.0;
   for (size_t i = 0; i < op.inputs.size(); ++i) {
-    total += InputCommBytes(op.inputs[i], s.inputs[i],
-                            tensor_cut[static_cast<size_t>(op.inputs[i])]);
+    const TensorId t = op.inputs[i];
+    const ConcreteInputReq& req = s == nullptr ? kWholeInput : s->inputs[i];
+    const std::int64_t extent =
+        req.kind == InputReq::Kind::kSplit ? shape(t)[static_cast<size_t>(req.dim)] : 0;
+    total += InputCommBytes(static_cast<double>(bytes(t)), ways_, req, extent,
+                            tensor_cut[static_cast<size_t>(t)]);
   }
   return total;
 }
@@ -176,9 +130,10 @@ double StepContext::OpOutputCommBytes(OpId op_id, int sidx,
     // Each worker materializes the full output and keeps its stored share: free.
     return 0.0;
   }
-  const OpNode& op = graph_->op(op_id);
-  const ConcreteStrategy& s = Strategies(op_id)[static_cast<size_t>(sidx)];
-  return OutputCommBytes(op.output, s, tensor_cut[static_cast<size_t>(op.output)]);
+  const TensorId out = graph_->op(op_id).output;
+  return OutputCommBytes(static_cast<double>(bytes(out)), ways_,
+                         Strategies(op_id)[static_cast<size_t>(sidx)],
+                         tensor_cut[static_cast<size_t>(out)]);
 }
 
 double StepContext::OpCommBytes(OpId op_id, int sidx, const std::vector<int>& tensor_cut) {
@@ -224,6 +179,57 @@ std::vector<Shape> StepContext::InitialShapes(const Graph& graph) {
     shapes.push_back(t.shape);
   }
   return shapes;
+}
+
+double AssignGreedyOpStrategies(StepContext* ctx, BasicPlan* plan,
+                                bool allow_reduction_strategies) {
+  const Graph& graph = ctx->graph();
+  plan->op_strategy.assign(static_cast<size_t>(graph.num_ops()), kReplicatedExec);
+  double total = 0.0;
+  for (OpId op = 0; op < graph.num_ops(); ++op) {
+    double best = ctx->OpCommBytes(op, kReplicatedExec, plan->tensor_cut);
+    int choice = kReplicatedExec;
+    const int n = static_cast<int>(ctx->Strategies(op).size());
+    for (int sidx = 0; sidx < n; ++sidx) {
+      if (!allow_reduction_strategies &&
+          ctx->Strategies(op)[static_cast<size_t>(sidx)].is_reduction) {
+        continue;
+      }
+      if (!ctx->Applicable(op, sidx)) {
+        continue;
+      }
+      const double cost = ctx->OpCommBytes(op, sidx, plan->tensor_cut);
+      if (cost < best) {
+        best = cost;
+        choice = sidx;
+      }
+    }
+    plan->op_strategy[static_cast<size_t>(op)] = choice;
+    total += best;
+  }
+  plan->comm_bytes = total;
+  return total;
+}
+
+StepFold::StepFold(const Graph& graph, PartitionPlan* plan)
+    : graph_(&graph), plan_(plan), shapes_(StepContext::InitialShapes(graph)) {}
+
+void StepFold::Append(BasicPlan step, double link_bandwidth) {
+  const double weighted = groups_ * step.comm_bytes;
+  plan_->weighted_step_costs.push_back(weighted);
+  plan_->total_comm_bytes += weighted;
+  if (link_bandwidth > 0.0) {
+    step.comm_seconds = step.comm_bytes / link_bandwidth;
+    const double seconds = weighted / link_bandwidth;
+    plan_->step_seconds.resize(plan_->steps.size(), 0.0);  // earlier steps had none
+    plan_->step_seconds.push_back(seconds);
+    plan_->estimated_comm_seconds += seconds;
+  } else if (!plan_->step_seconds.empty()) {
+    plan_->step_seconds.push_back(0.0);
+  }
+  shapes_ = StepContext::ApplyBasicPlan(*graph_, shapes_, step);
+  groups_ *= static_cast<double>(step.ways);
+  plan_->steps.push_back(std::move(step));
 }
 
 }  // namespace tofu

@@ -1,6 +1,8 @@
 #include "tofu/serve/request.h"
 
 #include <climits>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "tofu/util/json.h"
@@ -146,6 +148,90 @@ Status RequirePositive(std::int64_t value, const char* name) {
   return Status::Ok();
 }
 
+// Every byte figure downstream (shards, liveness peaks, comm) derives from
+// TensorNode::bytes() and sums of it, so a spec is rejected when any tensor's byte size,
+// or the running total over all tensors, does not fit in int64. One pass over the
+// tensors, checked before each multiply and add so nothing overflows on the way; it
+// allocates only to name the offending tensor.
+Status CheckTensorBytesFit(const Graph& graph) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  auto out_of_range = [](const TensorNode& t, const char* what) {
+    return Status(StatusCode::kInvalidArgument,
+                  "tensor '" + t.name + "' of shape " + ShapeToString(t.shape) + " " +
+                      what + " beyond the int64 range");
+  };
+  std::int64_t total = 0;
+  for (const TensorNode& t : graph.tensors()) {
+    std::int64_t bytes = t.elem_size;
+    for (std::int64_t d : t.shape) {
+      if (d < 0 || (d > 0 && bytes > kMax / d)) {
+        return out_of_range(t, "has a byte size");
+      }
+      bytes *= d;
+    }
+    if (bytes > kMax - total) {
+      return out_of_range(t, "brings the graph's total bytes");
+    }
+    total += bytes;
+  }
+  return Status::Ok();
+}
+
+Result<ModelGraph> BuildSpecModel(const ServeRequest& request) {
+  // Pre-validate everything the builders TOFU_CHECK on, so a malformed request comes
+  // back as a Status instead of aborting the server.
+  if (request.model == "mlp") {
+    const MlpConfig& c = request.mlp;
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
+    if (c.layer_sizes.size() < 2) {
+      return Status(StatusCode::kInvalidArgument,
+                    "mlp layer_sizes needs at least input and output widths");
+    }
+    for (std::int64_t width : c.layer_sizes) {
+      TOFU_RETURN_IF_ERROR(RequirePositive(width, "layer_sizes[i]"));
+    }
+    return BuildMlp(c);
+  }
+  if (request.model == "rnn") {
+    const RnnConfig& c = request.rnn;
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.layers, "layers"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.hidden, "hidden"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.timesteps, "timesteps"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.embed, "embed"));
+    return BuildRnn(c);
+  }
+  if (request.model == "wresnet") {
+    const WResNetConfig& c = request.wresnet;
+    if (c.layers != 50 && c.layers != 101 && c.layers != 152) {
+      return Status(StatusCode::kInvalidArgument,
+                    "wresnet layers must be 50, 101 or 152, got " +
+                        std::to_string(c.layers));
+    }
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.width, "width"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.image, "image"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.classes, "classes"));
+    return BuildWResNet(c);
+  }
+  if (request.model == "transformer") {
+    const TransformerConfig& c = request.transformer;
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.seq_len, "seq_len"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.d_model, "d_model"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.d_ff, "d_ff"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.heads, "heads"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.layers, "layers"));
+    TOFU_RETURN_IF_ERROR(RequirePositive(c.num_classes, "num_classes"));
+    if (c.d_model % c.heads != 0) {
+      return Status(StatusCode::kInvalidArgument,
+                    "transformer heads must divide d_model");
+    }
+    return BuildTransformer(c);
+  }
+  return Status(StatusCode::kInvalidArgument, "unknown model '" + request.model + "'");
+}
+
 }  // namespace
 
 const std::vector<std::string>& KnownServeModels() {
@@ -208,6 +294,10 @@ Result<ServeRequest> ParseServeRequest(const std::string& line,
       ReadNumberArray(doc, "level_bandwidths", &request.topology.level_bandwidths));
   TOFU_RETURN_IF_ERROR(ReadInt(doc, "memory_bytes_per_worker",
                                &request.topology.memory_bytes_per_worker));
+  if (request.topology.memory_bytes_per_worker < 0) {
+    return Status(StatusCode::kInvalidArgument,
+                  "field 'memory_bytes_per_worker' must be >= 0");
+  }
   TOFU_RETURN_IF_ERROR(
       ReadInt(doc, "memory_budget_bytes", &request.memory_budget_bytes));
   if (request.memory_budget_bytes < 0) {
@@ -233,58 +323,11 @@ Result<ServeRequest> ParseServeRequest(const std::string& line,
 }
 
 Result<ModelGraph> BuildServeModel(const ServeRequest& request) {
-  // Pre-validate everything the builders TOFU_CHECK on, so a malformed request comes
-  // back as a Status instead of aborting the server.
-  if (request.model == "mlp") {
-    const MlpConfig& c = request.mlp;
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
-    if (c.layer_sizes.size() < 2) {
-      return Status(StatusCode::kInvalidArgument,
-                    "mlp layer_sizes needs at least input and output widths");
-    }
-    for (std::int64_t width : c.layer_sizes) {
-      TOFU_RETURN_IF_ERROR(RequirePositive(width, "layer_sizes[i]"));
-    }
-    return BuildMlp(c);
+  Result<ModelGraph> model = BuildSpecModel(request);
+  if (model.ok()) {
+    TOFU_RETURN_IF_ERROR(CheckTensorBytesFit(model->graph));
   }
-  if (request.model == "rnn") {
-    const RnnConfig& c = request.rnn;
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.layers, "layers"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.hidden, "hidden"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.timesteps, "timesteps"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.embed, "embed"));
-    return BuildRnn(c);
-  }
-  if (request.model == "wresnet") {
-    const WResNetConfig& c = request.wresnet;
-    if (c.layers != 50 && c.layers != 101 && c.layers != 152) {
-      return Status(StatusCode::kInvalidArgument,
-                    "wresnet layers must be 50, 101 or 152, got " +
-                        std::to_string(c.layers));
-    }
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.width, "width"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.image, "image"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.classes, "classes"));
-    return BuildWResNet(c);
-  }
-  if (request.model == "transformer") {
-    const TransformerConfig& c = request.transformer;
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.batch, "batch"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.seq_len, "seq_len"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.d_model, "d_model"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.d_ff, "d_ff"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.heads, "heads"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.layers, "layers"));
-    TOFU_RETURN_IF_ERROR(RequirePositive(c.num_classes, "num_classes"));
-    if (c.d_model % c.heads != 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    "transformer heads must divide d_model");
-    }
-    return BuildTransformer(c);
-  }
-  return Status(StatusCode::kInvalidArgument, "unknown model '" + request.model + "'");
+  return model;
 }
 
 }  // namespace tofu

@@ -57,7 +57,8 @@ struct ServeRequest {
 const std::vector<std::string>& KnownServeModels();
 
 // Parses one request line. kInvalidArgument on malformed JSON, an unknown model,
-// algorithm, or memory-policy name, an unknown config key, or a wrong-kind field. A
+// algorithm, or memory-policy name, an unknown config key, a wrong-kind field, or a
+// negative memory_budget_bytes / memory_bytes_per_worker. A
 // request that omits the "algorithm" / "memory_policy" field gets `default_algorithm`
 // / `default_policy` (tofu-pland --algo=NAME and --memory-policy=NAME route through
 // these; an explicit field always wins).
@@ -68,8 +69,9 @@ Result<ServeRequest> ParseServeRequest(
 
 // Builds the full training graph the request's spec describes. The build aborts on
 // structurally impossible configs (e.g. heads not dividing d_model), so callers get
-// cheap spec validation here too: kInvalidArgument for empty/unknown model names and
-// configs the builders reject by contract.
+// cheap spec validation here too: kInvalidArgument for empty/unknown model names,
+// configs the builders reject by contract, and graphs whose tensor byte sizes (each, or
+// all together) do not fit in int64 -- the message names the first such tensor.
 Result<ModelGraph> BuildServeModel(const ServeRequest& request);
 
 }  // namespace tofu

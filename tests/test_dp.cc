@@ -1,12 +1,18 @@
 // DP search tests: optimality against exhaustive enumeration on small graphs,
-// determinism, plan well-formedness, and the reduction-strategy toggle.
+// determinism, plan well-formedness, the reduction-strategy toggle, and agreement of the
+// precompiled step evaluator with StepContext's recost.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "tofu/models/mlp.h"
+#include "tofu/models/rnn.h"
+#include "tofu/models/transformer.h"
+#include "tofu/models/wresnet.h"
 #include "tofu/partition/coarsen.h"
 #include "tofu/partition/dp.h"
+#include "tofu/partition/recursive.h"
 
 namespace tofu {
 namespace {
@@ -164,6 +170,69 @@ TEST(Dp, ElementwiseRidersAreFree) {
   StepContext ctx(g, StepContext::InitialShapes(g), 2);
   DpResult dp = RunStepDp(&ctx, cg, {});
   EXPECT_DOUBLE_EQ(dp.plan.comm_bytes, 0.0);
+}
+
+// The DP charges a step through its precompiled per-(term, option) evaluator; StepContext
+// charges the same Lemma-1 table term by term. Every searched step's comm_bytes must
+// equal the recost of its own cuts and strategies (up to summation order: the DP sums
+// per group, the recost per op) on halo convolutions, attention, an unrolled RNN and
+// widths no worker count divides, at non-power-of-two splits, with and without
+// reduction strategies.
+TEST(Dp, StepCostEqualsStepContextRecost) {
+  std::vector<ModelGraph> models;
+  WResNetConfig wresnet;
+  wresnet.layers = 50;
+  wresnet.width = 1;
+  wresnet.batch = 4;
+  wresnet.image = 64;
+  wresnet.classes = 10;
+  models.push_back(BuildWResNet(wresnet));
+  TransformerConfig transformer;
+  transformer.batch = 4;
+  transformer.seq_len = 60;
+  transformer.d_model = 96;
+  transformer.d_ff = 384;
+  transformer.heads = 4;
+  transformer.num_classes = 100;
+  models.push_back(BuildTransformer(transformer));
+  RnnConfig rnn;
+  rnn.layers = 2;
+  rnn.hidden = 300;
+  rnn.batch = 20;
+  rnn.timesteps = 4;
+  rnn.embed = 100;
+  models.push_back(BuildRnn(rnn));
+  MlpConfig mlp;
+  mlp.layer_sizes = {1001, 515, 97};
+  mlp.batch = 50;
+  models.push_back(BuildMlp(mlp));
+
+  for (const ModelGraph& model : models) {
+    const Graph& g = model.graph;
+    for (int workers : {6, 8, 12}) {
+      for (bool allow_reduction : {true, false}) {
+        PartitionOptions options;
+        options.dp.allow_reduction_strategies = allow_reduction;
+        const PartitionPlan plan = RecursivePartition(g, workers, options);
+        ASSERT_FALSE(plan.steps.empty());
+        std::vector<Shape> shapes = StepContext::InitialShapes(g);
+        for (size_t i = 0; i < plan.steps.size(); ++i) {
+          const BasicPlan& step = plan.steps[i];
+          StepContext ctx(g, shapes, step.ways);
+          double recost = 0.0;
+          for (OpId op = 0; op < g.num_ops(); ++op) {
+            recost += ctx.OpCommBytes(op, step.op_strategy[static_cast<size_t>(op)],
+                                      step.tensor_cut);
+          }
+          EXPECT_LE(std::abs(step.comm_bytes - recost), 1e-12 * std::abs(recost))
+              << model.name << " workers=" << workers
+              << " reductions=" << allow_reduction << " step " << i << ": dp "
+              << step.comm_bytes << " vs recost " << recost;
+          shapes = StepContext::ApplyBasicPlan(g, shapes, step);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # in docs/tdl.md (as a backticked `name`), and every partition-algorithm name returned by
 # AlgorithmName (src/tofu/core/session.cc) must appear in both docs/serving.md and
 # docs/api.md, and the shard-kernel cost recipe must stay in one place (KernelSeconds is
-# called only under src/tofu/sim/), and every search_stats key plan JSON carries must be
-# documented in docs/search.md. Run from anywhere; exits non-zero listing the drift. CI
+# called only under src/tofu/sim/), and so must the communication-cost table (halo_elems
+# is read only under src/tofu/tdl/ and in partition/strategy.{h,cc}), and every
+# search_stats key plan JSON carries must be documented in docs/search.md. Run from anywhere; exits non-zero listing the drift. CI
 # runs this on every push (see .github/workflows/ci.yml).
 set -u
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -112,6 +113,20 @@ if [[ -n "$copies" ]]; then
   exit 1
 fi
 echo "check_docs: KernelSeconds is called only under src/tofu/sim/"
+
+# One communication-cost table: the Lemma-1 terms (InputCommBytes / OutputCommBytes in
+# partition/strategy.h) are the only code that sizes a halo exchange. Outside tdl/, which
+# derives halo_elems, any other reader of it is a second copy of the table.
+copies=$(grep -rnE '(^|[^A-Za-z0-9_])halo_elems([^A-Za-z0-9_]|$)' "$repo/src/tofu" \
+  --include='*.cc' --include='*.h' |
+  grep -v "^$repo/src/tofu/tdl/" | grep -vE "^$repo/src/tofu/partition/strategy\.(h|cc):")
+if [[ -n "$copies" ]]; then
+  echo "check_docs: halo_elems read outside src/tofu/tdl/ and partition/strategy.{h,cc}" \
+    "(price through InputCommBytes):" >&2
+  echo "${copies//$repo\//}" >&2
+  exit 1
+fi
+echo "check_docs: halo_elems is read only under src/tofu/tdl/ and in partition/strategy.{h,cc}"
 
 # Every key PlanToJson writes inside "search_stats" must be documented (backticked) in
 # docs/search.md: those counters are serialized into plans and digests, so a change to

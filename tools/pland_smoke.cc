@@ -3,7 +3,8 @@
 //   pland_smoke <path-to-tofu-pland>
 //
 // Pipes a small mixed batch (a duplicated MLP request, a tiny RNN, an unknown model,
-// a malformed line, and a budget-constrained Hybrid request) through the daemon, then
+// a malformed line, a budget-constrained Hybrid request, an out-of-range worker count,
+// and a spec whose tensor bytes overflow int64) through the daemon, then
 // checks the stream contract: one response line per request, every line parses as
 // schema tofu.serve.v1, each ok response's embedded plan replays through
 // ValidatePlanForGraph against a freshly built graph, the duplicate is served without
@@ -71,6 +72,11 @@ int main(int argc, char** argv) {
   // to a 4-worker plan.
   const std::string workers_overflow_line =
       "{\"id\":7,\"model\":\"mlp\",\"workers\":4294967300}";
+  // A 2^32 x 2^32 weight: its byte size does not fit in int64, so the spec must be
+  // rejected rather than planned on wrapped sizes.
+  const std::string bytes_overflow_line =
+      "{\"id\":8,\"model\":\"mlp\",\"workers\":8,"
+      "\"config\":{\"layer_sizes\":[4294967296,4294967296]}}";
   // A budget no pure plan can meet on this narrow graph (its liveness floor is 192
   // bytes per worker at 32 workers) -- the hybrid search must answer with a
   // multi-stage pipeline plan (tests/test_pipeline.cc pins the stage goldens).
@@ -81,7 +87,8 @@ int main(int argc, char** argv) {
 
   const std::string requests = mlp_line + "\n" + mlp_dup_line + "\n" + rnn_line +
                                "\n" + bad_model_line + "\n" + malformed_line + "\n" +
-                               hybrid_line + "\n" + workers_overflow_line + "\n";
+                               hybrid_line + "\n" + workers_overflow_line + "\n" +
+                               bytes_overflow_line + "\n";
   Check(tofu::WriteTextFile("pland_smoke_requests.jsonl", requests),
         "cannot write request file");
 
@@ -98,8 +105,8 @@ int main(int argc, char** argv) {
       tofu::ReadTextFile("pland_smoke_responses.jsonl");
   Check(responses.ok(), "cannot read response file");
   const std::vector<std::string> lines = SplitLines(*responses);
-  Check(lines.size() == 7,
-        "expected 7 response lines, got " + std::to_string(lines.size()));
+  Check(lines.size() == 8,
+        "expected 8 response lines, got " + std::to_string(lines.size()));
 
   int cached_or_coalesced = 0;
   int workers_rejected = 0;
@@ -173,11 +180,12 @@ int main(int argc, char** argv) {
       Check(model.ok(), "hybrid model build failed");
       const tofu::Status valid = tofu::ValidatePlanForGraph(model->graph, *plan);
       Check(valid.ok(), "hybrid plan does not validate: " + valid.ToString());
-    } else if (*id == 4) {
-      Check(!*ok_field, "unknown model unexpectedly succeeded");
+    } else if (*id == 4 || *id == 8) {
+      Check(!*ok_field, "request id " + std::to_string(*id) + " unexpectedly succeeded");
       tofu::Result<std::string> code = doc->StringAt("code");
       Check(code.ok() && *code == "INVALID_ARGUMENT",
-            "unknown model should be INVALID_ARGUMENT, got line: " + lines[i]);
+            "request id " + std::to_string(*id) +
+                " should be INVALID_ARGUMENT, got line: " + lines[i]);
     } else if (*id == -1) {
       // Lines the request parser rejects carry no id: the unknown model, the malformed
       // line, and the out-of-range worker count.
@@ -226,6 +234,6 @@ int main(int argc, char** argv) {
             tofu::JsonToString(*algo_plan).find("tofu.plan.v3") != std::string::npos,
         "--algo=Hybrid response does not carry a v3 pipeline plan");
 
-  std::printf("pland_smoke: OK (8 responses validated)\n");
+  std::printf("pland_smoke: OK (9 responses validated)\n");
   return 0;
 }
