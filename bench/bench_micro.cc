@@ -1,10 +1,13 @@
 // Engineering micro-benchmarks (google-benchmark): the hot paths of the partitioner --
-// TDL strategy discovery, coarsening, one DP step, full recursive search, lowering and
-// event simulation.
+// TDL strategy discovery, coarsening, one DP step, full recursive search, a Session
+// plan-cache hit, lowering and event simulation. Report-only: nothing gates on these
+// wall times.
 #include <benchmark/benchmark.h>
 
 #include "tofu/core/experiment.h"
+#include "tofu/core/session.h"
 #include "tofu/models/mlp.h"
+#include "tofu/models/transformer.h"
 #include "tofu/partition/dp.h"
 #include "tofu/tdl/registry.h"
 
@@ -152,6 +155,50 @@ void BM_RecursivePartitionWResNet50(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RecursivePartitionWResNet50)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// One Session::Partition cache hit on a big graph; Arg picks it: 0 = WResNet-152-10,
+// 1 = RNN-10-8K, 2 = Transformer-48 (the search-cold graphs), all at 8 uniform workers.
+// The miss that fills the cache runs once, before timing.
+void BM_SessionHit(benchmark::State& state) {
+  ModelGraph model;
+  switch (state.range(0)) {
+    case 0: {
+      WResNetConfig config;
+      config.layers = 152;
+      config.width = 10;
+      config.batch = 8;
+      model = BuildWResNet(config);
+      break;
+    }
+    case 1: {
+      RnnConfig config;
+      config.layers = 10;
+      config.hidden = 8192;
+      config.batch = 128;
+      model = BuildRnn(config);
+      break;
+    }
+    default: {
+      TransformerConfig config;
+      config.layers = 48;
+      model = BuildTransformer(config);
+      break;
+    }
+  }
+  state.SetLabel(model.name);
+  Session session(DeviceTopology::Uniform(8));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  if (!session.Partition(request).ok()) {
+    state.SkipWithError("the filling search failed");
+    return;
+  }
+  for (auto _ : state) {
+    Result<PartitionResponse> response = session.Partition(request);
+    benchmark::DoNotOptimize(response->from_cache);
+  }
+}
+BENCHMARK(BM_SessionHit)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_LowerAndSimulate(benchmark::State& state) {
   ModelGraph model = BenchMlp();

@@ -212,20 +212,13 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
                     StrFormat("PartitionOptions.step_bandwidths entry %g; need > 0", b));
     }
   }
-  const Graph& graph = *request.graph;
   const std::string key = CacheKey(request);
 
   // Fast path: a completed identical request left its response in the cache.
   if (std::optional<PartitionResponse> cached = cache_.Lookup(key)) {
-    if (ValidatePlanForGraph(graph, cached->plan).ok()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      // The budget is part of the key, so a hit was searched under this exact budget
-      // and the verdict below merely repeats what the insertion-time check concluded
-      // (an infeasible request fails fast here without re-searching).
-      TOFU_RETURN_IF_ERROR(BudgetCheck(graph, *cached, request.memory_budget_bytes,
-                                       topology_.memory_bytes_per_worker));
-      cached->from_cache = true;
-      return *std::move(cached);
+    if (std::optional<Result<PartitionResponse>> hit =
+            ServeHit(request, *std::move(cached))) {
+      return *std::move(hit);
     }
     // The 64-bit GraphSignature collided: the cached plan belongs to a different graph.
     // Serving it would be silently wrong; drop the stale entry and fall through to a
@@ -264,13 +257,9 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
   // keeps misses == distinct searches (and the response byte-identical either way).
   Result<PartitionResponse> result = [&]() -> Result<PartitionResponse> {
     if (std::optional<PartitionResponse> raced = cache_.Lookup(key)) {
-      if (ValidatePlanForGraph(graph, raced->plan).ok()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        // A hit replays the insertion-time budget verdict, same as the fast path.
-        TOFU_RETURN_IF_ERROR(BudgetCheck(graph, *raced, request.memory_budget_bytes,
-                                         topology_.memory_bytes_per_worker));
-        raced->from_cache = true;
-        return *std::move(raced);
+      if (std::optional<Result<PartitionResponse>> hit =
+              ServeHit(request, *std::move(raced))) {
+        return *std::move(hit);
       }
     }
     return SearchAndCache(request, key);
@@ -281,6 +270,22 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
     inflight_.erase(key);
   }
   return result;
+}
+
+std::optional<Result<PartitionResponse>> Session::ServeHit(const PartitionRequest& request,
+                                                          PartitionResponse cached) {
+  const Graph& graph = *request.graph;
+  if (!ValidatePlanForGraph(graph, cached.plan).ok()) {
+    return std::nullopt;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  // The budget is part of the key, so a hit was searched under this exact budget and
+  // the verdict below merely repeats what the insertion-time check concluded (an
+  // infeasible request fails fast here without re-searching).
+  TOFU_RETURN_IF_ERROR(BudgetCheck(graph, cached, request.memory_budget_bytes,
+                                   topology_.memory_bytes_per_worker));
+  cached.from_cache = true;
+  return Result<PartitionResponse>(std::move(cached));
 }
 
 Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& request,

@@ -42,6 +42,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -227,10 +228,17 @@ class Session {
       : topology_(std::move(topology)), cache_(max_cached_plans, cache_shards) {}
 
   // Validates the request, serves it from the plan cache when an identical one was seen
-  // before (cache hits are re-validated against the graph -- a signature collision
-  // falls through to a fresh search), joins an identical in-flight search when one is
-  // running (single-flight), and otherwise runs the requested algorithm. Safe to call
-  // from any number of threads concurrently. Never aborts on user error:
+  // before, joins an identical in-flight search when one is running (single-flight),
+  // and otherwise runs the requested algorithm. Safe to call from any number of threads
+  // concurrently.
+  //
+  // A hit builds the key (GraphSignature is memoized on the graph, so this does not
+  // rehash it), copies the cached response out of its shard, and re-validates the plan
+  // against the request's graph: one ValidatePlanForGraph pass, linear in steps x
+  // (tensors + ops), that looks each op's registry entry up once. A plan that fails it
+  // (a signature collision) is dropped and the request falls through to a fresh search.
+  //
+  // Never aborts on user error:
   //   * kInvalidArgument -- null graph, or a topology with < 1 worker;
   //   * kNotFound        -- an operator in the graph has no TDL registry entry;
   //   * kResourceExhausted -- memory_budget_bytes > 0 and no searched configuration's
@@ -281,6 +289,12 @@ class Session {
   };
 
   std::string CacheKey(const PartitionRequest& request) const;
+  // One cache hit, shared by the fast path and the leader's double-check: re-validates
+  // the cached plan against the request's graph, counts the hit, replays the budget
+  // verdict and marks the response from_cache. nullopt (nothing counted) when the plan
+  // does not validate -- a signature collision the caller handles.
+  std::optional<Result<PartitionResponse>> ServeHit(const PartitionRequest& request,
+                                                    PartitionResponse cached);
   // The full miss path: registry scan, the requested algorithm's search, memory
   // accounting, cache insertion, budget verdict. Runs on the leader thread only.
   Result<PartitionResponse> SearchAndCache(const PartitionRequest& request,

@@ -1,10 +1,13 @@
 #include "tofu/graph/graph.h"
 
+#include "tofu/util/hash.h"
 #include "tofu/util/logging.h"
 
 namespace tofu {
 
 TensorId Graph::NewTensor(const std::string& name, Shape shape) {
+  // Every mutator adds a tensor, so clearing the signature memo here covers them all.
+  signature_.Clear();
   TensorNode node;
   node.id = static_cast<TensorId>(tensors_.size());
   node.name = name.empty() ? ("t" + std::to_string(node.id)) : name;
@@ -125,26 +128,6 @@ std::vector<TensorId> Graph::ParamIds() const {
   return ids;
 }
 
-namespace {
-
-// FNV-1a, folded incrementally; 64-bit offset basis / prime.
-inline void HashMix(std::uint64_t* h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xFF;
-    *h *= 0x100000001b3ull;
-  }
-}
-
-inline void HashMixString(std::uint64_t* h, const std::string& s) {
-  HashMix(h, s.size());
-  for (char c : s) {
-    *h ^= static_cast<unsigned char>(c);
-    *h *= 0x100000001b3ull;
-  }
-}
-
-}  // namespace
-
 bool IsModelState(const Graph& graph, const TensorNode& t) {
   if (t.is_param || t.is_opt_state || t.is_input) {
     return true;
@@ -152,38 +135,51 @@ bool IsModelState(const Graph& graph, const TensorNode& t) {
   return t.grad_of != kNoTensor && graph.tensor(t.grad_of).is_param;
 }
 
-std::uint64_t GraphSignature(const Graph& graph) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  HashMix(&h, static_cast<std::uint64_t>(graph.num_tensors()));
-  HashMix(&h, static_cast<std::uint64_t>(graph.num_ops()));
+namespace {
+
+std::uint64_t ComputeGraphSignature(const Graph& graph) {
+  std::uint64_t h = kFnvOffsetBasis;
+  FnvMix(&h, static_cast<std::uint64_t>(graph.num_tensors()));
+  FnvMix(&h, static_cast<std::uint64_t>(graph.num_ops()));
   for (const TensorNode& t : graph.tensors()) {
-    HashMix(&h, static_cast<std::uint64_t>(t.shape.size()));
+    FnvMix(&h, static_cast<std::uint64_t>(t.shape.size()));
     for (std::int64_t d : t.shape) {
-      HashMix(&h, static_cast<std::uint64_t>(d));
+      FnvMix(&h, static_cast<std::uint64_t>(d));
     }
-    HashMix(&h, static_cast<std::uint64_t>(t.elem_size));
-    HashMix(&h, static_cast<std::uint64_t>(t.producer));
-    HashMix(&h, static_cast<std::uint64_t>(t.grad_of));
-    HashMix(&h, static_cast<std::uint64_t>((t.is_input ? 1 : 0) | (t.is_param ? 2 : 0) |
-                                           (t.is_opt_state ? 4 : 0) |
-                                           (t.requires_grad ? 8 : 0)));
-    HashMixString(&h, t.unroll_key);
-    HashMix(&h, static_cast<std::uint64_t>(t.timestep));
+    FnvMix(&h, static_cast<std::uint64_t>(t.elem_size));
+    FnvMix(&h, static_cast<std::uint64_t>(t.producer));
+    FnvMix(&h, static_cast<std::uint64_t>(t.grad_of));
+    FnvMix(&h, static_cast<std::uint64_t>((t.is_input ? 1 : 0) | (t.is_param ? 2 : 0) |
+                                          (t.is_opt_state ? 4 : 0) |
+                                          (t.requires_grad ? 8 : 0)));
+    FnvMixString(&h, t.unroll_key);
+    FnvMix(&h, static_cast<std::uint64_t>(t.timestep));
   }
   for (const OpNode& op : graph.ops()) {
-    HashMixString(&h, op.type);
-    HashMixString(&h, op.attrs.Signature());
-    HashMix(&h, static_cast<std::uint64_t>(op.inputs.size()));
+    FnvMixString(&h, op.type);
+    FnvMixString(&h, op.attrs.Signature());
+    FnvMix(&h, static_cast<std::uint64_t>(op.inputs.size()));
     for (TensorId t : op.inputs) {
-      HashMix(&h, static_cast<std::uint64_t>(t));
+      FnvMix(&h, static_cast<std::uint64_t>(t));
     }
-    HashMix(&h, static_cast<std::uint64_t>(op.output));
-    HashMix(&h, static_cast<std::uint64_t>(op.forward_op));
-    HashMix(&h, static_cast<std::uint64_t>((op.is_backward ? 1 : 0) | (op.is_update ? 2 : 0) |
-                                           (op.is_grad_agg ? 4 : 0)));
-    HashMix(&h, static_cast<std::uint64_t>(op.inplace_input));
-    HashMixString(&h, op.unroll_key);
-    HashMix(&h, static_cast<std::uint64_t>(op.timestep));
+    FnvMix(&h, static_cast<std::uint64_t>(op.output));
+    FnvMix(&h, static_cast<std::uint64_t>(op.forward_op));
+    FnvMix(&h, static_cast<std::uint64_t>((op.is_backward ? 1 : 0) | (op.is_update ? 2 : 0) |
+                                          (op.is_grad_agg ? 4 : 0)));
+    FnvMix(&h, static_cast<std::uint64_t>(op.inplace_input));
+    FnvMixString(&h, op.unroll_key);
+    FnvMix(&h, static_cast<std::uint64_t>(op.timestep));
+  }
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t GraphSignature(const Graph& graph) {
+  std::uint64_t h = graph.signature_.Load();
+  if (h == Graph::SignatureMemo::kUnset) {
+    h = ComputeGraphSignature(graph);
+    graph.signature_.Store(h);
   }
   return h;
 }

@@ -72,11 +72,18 @@ struct OpNode {
 
 // A mutable dataflow graph. Tensors and operators are stored densely and addressed by id;
 // ids are stable (no deletion).
+//
+// The graph memoizes its GraphSignature: the first read computes it, later reads return
+// the stored value. Every mutator -- AddInput/AddParam/AddOptState, AddOp, and the
+// non-const tensor(id)/op(id) accessors -- clears the memo. The memo cannot see writes
+// made through a reference obtained BEFORE a signature read, so do not hold a mutable
+// TensorNode&/OpNode& across a GraphSignature call (or anything that makes one: a
+// Session::Partition, a search with a step-table cache): re-fetch it after the read.
 class Graph {
  public:
   Graph() = default;
 
-  // Non-copyable (graphs are large); movable.
+  // Non-copyable (graphs are large); movable. A moved-from graph is empty and usable.
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
   Graph(Graph&&) = default;
@@ -95,9 +102,16 @@ class Graph {
   int num_tensors() const { return static_cast<int>(tensors_.size()); }
   int num_ops() const { return static_cast<int>(ops_.size()); }
   const TensorNode& tensor(TensorId id) const { return tensors_[static_cast<size_t>(id)]; }
-  TensorNode& tensor(TensorId id) { return tensors_[static_cast<size_t>(id)]; }
+  // Mutable access clears the signature memo (see the class comment).
+  TensorNode& tensor(TensorId id) {
+    signature_.Clear();
+    return tensors_[static_cast<size_t>(id)];
+  }
   const OpNode& op(OpId id) const { return ops_[static_cast<size_t>(id)]; }
-  OpNode& op(OpId id) { return ops_[static_cast<size_t>(id)]; }
+  OpNode& op(OpId id) {
+    signature_.Clear();
+    return ops_[static_cast<size_t>(id)];
+  }
   const std::vector<TensorNode>& tensors() const { return tensors_; }
   const std::vector<OpNode>& ops() const { return ops_; }
 
@@ -118,6 +132,30 @@ class Graph {
   std::vector<TensorId> ParamIds() const;
 
  private:
+  friend std::uint64_t GraphSignature(const Graph& graph);
+
+  // The memoized GraphSignature. kUnset means "not computed"; a graph whose signature
+  // happens to equal kUnset stays unset and recomputes on every read (the value is
+  // never altered to fit). An atomic so concurrent readers of a built graph race only
+  // on idempotent stores of the same value. Moves carry the value and leave the source
+  // unset.
+  class SignatureMemo {
+   public:
+    static constexpr std::uint64_t kUnset = 0;
+    SignatureMemo() = default;
+    SignatureMemo(SignatureMemo&& other) noexcept : value_(other.value_.exchange(kUnset)) {}
+    SignatureMemo& operator=(SignatureMemo&& other) noexcept {
+      value_ = other.value_.exchange(kUnset);
+      return *this;
+    }
+    std::uint64_t Load() const { return value_; }
+    void Store(std::uint64_t v) const { value_ = v; }
+    void Clear() { value_ = kUnset; }
+
+   private:
+    mutable std::atomic<std::uint64_t> value_{kUnset};
+  };
+
   TensorId NewTensor(const std::string& name, Shape shape);
 
   std::vector<TensorNode> tensors_;
@@ -127,6 +165,7 @@ class Graph {
   // each slot goes nullptr -> resolved at most once, so concurrent SemanticsOf readers
   // race only on idempotent stores of the same registry-owned pointer.
   mutable std::deque<std::atomic<const OpSemantics*>> semantics_cache_;
+  SignatureMemo signature_;
 };
 
 // Persistent model state: weights, optimizer history, parameter gradients and graph
@@ -141,7 +180,9 @@ void ValidateGraph(const Graph& graph);
 // Structural fingerprint of the graph: tensor shapes and roles, op types, attributes and
 // connectivity, folded with FNV-1a. Deterministic across runs and processes (no pointer
 // or hash-table ordering leaks in), so it can key persistent caches -- the Session plan
-// cache of core/session.h keys on it together with the request fingerprint.
+// cache of core/session.h keys on it together with the request fingerprint, and so
+// does the DP's step-table cache. Computed once per built graph and memoized on it (see
+// Graph's class comment for the contract); safe to call from concurrent readers.
 std::uint64_t GraphSignature(const Graph& graph);
 
 }  // namespace tofu

@@ -10,6 +10,7 @@
 #include "tofu/graph/graph.h"
 #include "tofu/memory/bytes.h"
 #include "tofu/partition/search_engine.h"
+#include "tofu/util/hash.h"
 #include "tofu/util/logging.h"
 #include "tofu/util/sharded_lru.h"
 #include "tofu/util/strings.h"
@@ -249,8 +250,9 @@ struct StepTableCacheAccess {
 
 namespace {
 
-// Cache key of one step compilation: graph structure (GraphSignature), split factor,
-// strategy filtering, an FNV-1a digest of every tensor's CURRENT shape (recursion
+// Cache key of one step compilation: graph structure (GraphSignature, memoized on the
+// graph, so recursion steps do not rehash it), split factor, strategy filtering, an
+// FNV-1a digest of every tensor's CURRENT shape (recursion
 // shrinks shapes step by step, and every compiled value is shape-dependent -- sizes,
 // halos, applicability, cut options, shard bytes), and a digest of the coarse group
 // structure (the hybrid pipeline searches STAGE-FILTERED coarse graphs over the same
@@ -261,37 +263,25 @@ namespace {
 // ladder or a re-plan with refreshed bandwidths hit the cache.
 std::string StepCacheKey(StepContext* ctx, const Graph& graph, const CoarseGraph& coarse,
                          bool allow_reduction) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFnvDigestSeed;
   for (TensorId t = 0; t < graph.num_tensors(); ++t) {
     const Shape& shape = ctx->shape(t);
-    mix(0x9e3779b97f4a7c15ull + shape.size());  // per-tensor separator
+    FnvMix(&h, 0x9e3779b97f4a7c15ull + shape.size());  // per-tensor separator
     for (std::int64_t d : shape) {
-      mix(static_cast<std::uint64_t>(d));
+      FnvMix(&h, static_cast<std::uint64_t>(d));
     }
   }
-  std::uint64_t gh = 1469598103934665603ull;
-  auto gmix = [&gh](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      gh ^= (v >> (8 * b)) & 0xffu;
-      gh *= 1099511628211ull;
-    }
-  };
-  gmix(coarse.groups.size());
+  std::uint64_t gh = kFnvDigestSeed;
+  FnvMix(&gh, coarse.groups.size());
   for (const MacroGroup& group : coarse.groups) {
-    gmix(0x9e3779b97f4a7c15ull + group.units.size());
+    FnvMix(&gh, 0x9e3779b97f4a7c15ull + group.units.size());
     for (int u : group.units) {
       for (OpId op : coarse.units[static_cast<size_t>(u)].ops) {
-        gmix(static_cast<std::uint64_t>(op));
+        FnvMix(&gh, static_cast<std::uint64_t>(op));
       }
     }
     for (OpId op : group.ew_ops) {
-      gmix(0xbf58476d1ce4e5b9ull + static_cast<std::uint64_t>(op));
+      FnvMix(&gh, 0xbf58476d1ce4e5b9ull + static_cast<std::uint64_t>(op));
     }
   }
   return StrFormat("step;g=%016llx;w=%d;r=%d;s=%016llx;c=%016llx;",

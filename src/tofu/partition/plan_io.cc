@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "tofu/memory/schedule.h"
 #include "tofu/pipeline/pipeline_plan.h"
+#include "tofu/util/hash.h"
 #include "tofu/util/json.h"
 #include "tofu/util/strings.h"
 
@@ -383,7 +385,39 @@ Result<PartitionPlan> PlanFromJson(const std::string& json) {
   return ParsePlanObject(doc, 0);
 }
 
-Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
+namespace {
+
+// Each op's discovered strategy count, resolved on first use and shared by every step
+// and hybrid stage of one ValidatePlanForGraph call, so the registry lookup and the
+// semantics fetch run at most once per op rather than once per op per step.
+class OpStrategyCounts {
+ public:
+  static constexpr int kUnregistered = -1;
+
+  explicit OpStrategyCounts(const Graph& graph)
+      : graph_(graph), counts_(static_cast<size_t>(graph.num_ops()), kUnresolved) {}
+
+  // The number of strategies TDL discovered for op `o`, or kUnregistered when its type
+  // has no registry entry.
+  int Get(OpId o) {
+    int& count = counts_[static_cast<size_t>(o)];
+    if (count == kUnresolved) {
+      const OpNode& op = graph_.op(o);
+      count = OpRegistry::Get().Has(op.type)
+                  ? static_cast<int>(graph_.SemanticsOf(op).strategies.size())
+                  : kUnregistered;
+    }
+    return count;
+  }
+
+ private:
+  static constexpr int kUnresolved = -2;
+  const Graph& graph_;
+  std::vector<int> counts_;
+};
+
+Status ValidatePlan(const Graph& graph, const PartitionPlan& plan,
+                    OpStrategyCounts* op_strategies) {
   if (plan.num_workers < 1) {
     return Status(StatusCode::kInvalidArgument,
                   StrFormat("plan num_workers %d < 1", plan.num_workers));
@@ -446,7 +480,7 @@ Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
                       StrFormat("stage %zu inner plan spans %d workers, stage owns %d",
                                 s, stage.plan.num_workers, stage.num_workers));
       }
-      Status inner = ValidatePlanForGraph(graph, stage.plan);
+      Status inner = ValidatePlan(graph, stage.plan, op_strategies);
       if (!inner.ok()) {
         return Status(inner.code(), StrFormat("stage %zu: %s", s,
                                               inner.message().c_str()));
@@ -518,13 +552,13 @@ Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
         continue;
       }
       const OpNode& op = graph.op(o);
-      if (!OpRegistry::Get().Has(op.type)) {
+      const int num_strategies = op_strategies->Get(o);
+      if (num_strategies == OpStrategyCounts::kUnregistered) {
         return Status(StatusCode::kNotFound,
                       StrFormat("step %zu: op %d type '%s' has no TDL registry entry", i,
                                 o, op.type.c_str()));
       }
       // Bound by the op's discovered strategy list: everything downstream indexes it.
-      const int num_strategies = static_cast<int>(graph.SemanticsOf(op).strategies.size());
       if (sidx < 0 || sidx >= num_strategies) {
         return Status(StatusCode::kInvalidArgument,
                       StrFormat("step %zu: op %d ('%s') strategy index %d outside its %d "
@@ -536,14 +570,20 @@ Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
   return Status::Ok();
 }
 
+}  // namespace
+
+Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
+  OpStrategyCounts op_strategies(graph);
+  return ValidatePlan(graph, plan, &op_strategies);
+}
+
 std::string PlanDigest(const PartitionPlan& plan) {
   PartitionPlan normalized = plan;
   normalized.search_stats.wall_seconds = 0.0;
   const std::string json = PlanToJson(normalized);
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvDigestSeed;
   for (unsigned char c : json) {
-    h ^= c;
-    h *= 1099511628211ull;
+    FnvMixByte(&h, c);
   }
   return StrFormat("%016llx", static_cast<unsigned long long>(h));
 }

@@ -2,9 +2,10 @@
 // digest to their pre-interconnect values (bench/baseline_table1.json carries the same
 // constants for the perf gate). The baselines, the lightest-cuts budget witness and the
 // flat DP are pinned the same way, so a refactor of the shared step machinery (cost
-// terms, strategy pick, step fold) cannot move any plan builder unnoticed. The interconnect work routes all topology awareness
-// through PartitionOptions::step_bandwidths, and a uniform topology fills a single
-// scalar -- which, by the DP-argmin argument in partition/dp.h, cannot change any
+// terms, strategy pick, step fold) cannot move any plan builder unnoticed; every pinned
+// plan must also pass ValidatePlanForGraph. The interconnect work routes all topology
+// awareness through PartitionOptions::step_bandwidths, and a uniform topology fills a
+// single scalar -- which, by the DP-argmin argument in partition/dp.h, cannot change any
 // partition decision. These tests make that guarantee executable: if a refactor
 // perturbs the uniform search path even one bit, the digests diverge and CTest fails.
 #include <gtest/gtest.h>
@@ -56,9 +57,16 @@ std::string StructuralJson(PartitionPlan plan) {
   return PlanToJson(plan);
 }
 
+// Every pinned plan must also validate against the graph it was searched on.
+void ExpectPinned(const Graph& graph, const PartitionPlan& plan, const char* digest) {
+  EXPECT_EQ(PlanDigest(plan), digest);
+  const Status valid = ValidatePlanForGraph(graph, plan);
+  EXPECT_TRUE(valid.ok()) << digest << ": " << valid.ToString();
+}
+
 void ExpectGolden(const ModelGraph& model, const char* digest) {
   PartitionPlan raw = RecursivePartition(model.graph, 8);
-  EXPECT_EQ(PlanDigest(raw), digest) << model.name;
+  ExpectPinned(model.graph, raw, digest);
 
   // A uniform-topology Session must search the identical plan: its scalar
   // step_bandwidths only rescale costs, never reorder them.
@@ -85,16 +93,16 @@ TEST(PlanGoldens, Rnn10PlanIsBitIdenticalToPreInterconnectBaseline) {
 TEST(PlanGoldens, BaselinePlansAreBitIdentical) {
   const ModelGraph wresnet = Table1WResNet();
   const ModelGraph rnn = Table1Rnn();
-  EXPECT_EQ(PlanDigest(DataParallelPlan(wresnet.graph, 8)), "6f32d4170d9fbc54");
-  EXPECT_EQ(PlanDigest(DataParallelPlan(rnn.graph, 8)), "540cb95e30b7fb2f");
-  EXPECT_EQ(PlanDigest(AllRowGreedyPlan(wresnet.graph, 8)), "6aa6ec76e41d0f35");
-  EXPECT_EQ(PlanDigest(AllRowGreedyPlan(rnn.graph, 8)), "d4d1150de391deb4");
-  EXPECT_EQ(PlanDigest(SpartanGreedyPlan(wresnet.graph, 8)), "df72f5facb5838ee");
-  EXPECT_EQ(PlanDigest(SpartanGreedyPlan(rnn.graph, 8)), "81f89cca77218300");
-  EXPECT_EQ(PlanDigest(EqualChopPlan(wresnet.graph, 8)), "0e8eb3a660cbc7e8");
-  EXPECT_EQ(PlanDigest(EqualChopPlan(rnn.graph, 8)), "5325c967681e64c7");
-  EXPECT_EQ(PlanDigest(Icml18Plan(wresnet.graph, 8)), "a4a5532596c7b3b7");
-  EXPECT_EQ(PlanDigest(Icml18Plan(rnn.graph, 8)), "96abe7e63f31a8e2");
+  ExpectPinned(wresnet.graph, DataParallelPlan(wresnet.graph, 8), "6f32d4170d9fbc54");
+  ExpectPinned(rnn.graph, DataParallelPlan(rnn.graph, 8), "540cb95e30b7fb2f");
+  ExpectPinned(wresnet.graph, AllRowGreedyPlan(wresnet.graph, 8), "6aa6ec76e41d0f35");
+  ExpectPinned(rnn.graph, AllRowGreedyPlan(rnn.graph, 8), "d4d1150de391deb4");
+  ExpectPinned(wresnet.graph, SpartanGreedyPlan(wresnet.graph, 8), "df72f5facb5838ee");
+  ExpectPinned(rnn.graph, SpartanGreedyPlan(rnn.graph, 8), "81f89cca77218300");
+  ExpectPinned(wresnet.graph, EqualChopPlan(wresnet.graph, 8), "0e8eb3a660cbc7e8");
+  ExpectPinned(rnn.graph, EqualChopPlan(rnn.graph, 8), "5325c967681e64c7");
+  ExpectPinned(wresnet.graph, Icml18Plan(wresnet.graph, 8), "a4a5532596c7b3b7");
+  ExpectPinned(rnn.graph, Icml18Plan(rnn.graph, 8), "96abe7e63f31a8e2");
 }
 
 // An impossible budget without repair returns the lightest-cuts witness
@@ -103,12 +111,14 @@ TEST(PlanGoldens, LightestCutsWitnessIsBitIdentical) {
   PartitionOptions options;
   options.memory_budget_bytes = 1;
   options.memory_policy = MemoryPolicy::kNone;
-  const PartitionPlan wresnet = RecursivePartition(Table1WResNet().graph, 8, options);
+  const ModelGraph wresnet_model = Table1WResNet();
+  const PartitionPlan wresnet = RecursivePartition(wresnet_model.graph, 8, options);
   EXPECT_FALSE(wresnet.memory_feasible);
-  EXPECT_EQ(PlanDigest(wresnet), "7fa7ece25b28f3fc");
-  const PartitionPlan rnn = RecursivePartition(Table1Rnn().graph, 12, options);
+  ExpectPinned(wresnet_model.graph, wresnet, "7fa7ece25b28f3fc");
+  const ModelGraph rnn_model = Table1Rnn();
+  const PartitionPlan rnn = RecursivePartition(rnn_model.graph, 12, options);
   EXPECT_FALSE(rnn.memory_feasible);
-  EXPECT_EQ(PlanDigest(rnn), "80236df34dbe251e");
+  ExpectPinned(rnn_model.graph, rnn, "80236df34dbe251e");
 }
 
 // The flat DP's plan on the tiny MLP it completes on (test_recursive.cc's FlatDp cases).
@@ -123,7 +133,7 @@ TEST(PlanGoldens, FlatDpPlanIsBitIdentical) {
   options.time_budget_seconds = 30.0;
   const FlatDpResult flat = RunFlatDp(model.graph, Coarsen(model.graph), options);
   ASSERT_TRUE(flat.completed);
-  EXPECT_EQ(PlanDigest(flat.plan), "bac04bfb28a26f12");
+  ExpectPinned(model.graph, flat.plan, "bac04bfb28a26f12");
 }
 
 }  // namespace

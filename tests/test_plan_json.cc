@@ -287,5 +287,58 @@ TEST(PlanValidate, RejectsPlansForOtherGraphs) {
             StatusCode::kInvalidArgument);
 }
 
+// ValidatePlanForGraph resolves each op's strategy count once per call and shares it
+// across steps and hybrid stages; the first violation still wins, with its own message.
+TEST(PlanValidate, LaterStepViolationsKeepTheirCodeAndMessage) {
+  ModelGraph model = SmallModel();
+  const PartitionPlan plan = PlanFor(model, 8);
+  ASSERT_EQ(plan.steps.size(), 3u);
+
+  PartitionPlan bad = plan;
+  bad.steps[2].op_strategy[1] = 999;
+  Status status = ValidatePlanForGraph(model.graph, bad);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "step 2: op 1 ('add_bias') strategy index 999 outside its 2 discovered "
+            "strategies");
+
+  // An earlier step's violation is reported first.
+  bad.steps[0].op_strategy[3] = -5;
+  status = ValidatePlanForGraph(model.graph, bad);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "step 0: op 3 ('matmul') strategy index -5 outside its 3 discovered "
+            "strategies");
+
+  // An unregistered op is only looked up where a step executes it sharded.
+  PartitionPlan late = plan;
+  late.steps[0].op_strategy[0] = kReplicatedExec;
+  late.steps[1].op_strategy[0] = kReplicatedExec;
+  late.steps[2].op_strategy[0] = 0;
+  model.graph.op(0).type = "nonexistent_op";
+  status = ValidatePlanForGraph(model.graph, late);
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(status.message(),
+            "step 2: op 0 type 'nonexistent_op' has no TDL registry entry");
+}
+
+TEST(PlanValidate, StageViolationsKeepTheStagePrefix) {
+  ModelGraph narrow = NarrowModel();
+  const PartitionPlan plan = HybridPlan(narrow);
+  ASSERT_NE(plan.pipeline, nullptr);
+  ASSERT_GE(plan.pipeline->num_stages, 2);
+  ASSERT_FALSE(plan.pipeline->stages[1].plan.steps.empty());
+
+  PipelinePlan broken = *plan.pipeline;
+  broken.stages[1].plan.steps[0].op_strategy[0] = 999;
+  PartitionPlan mutated = plan;
+  mutated.pipeline = std::make_shared<const PipelinePlan>(broken);
+  const Status status = ValidatePlanForGraph(narrow.graph, mutated);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "stage 1: step 0: op 0 ('matmul') strategy index 999 outside its 3 "
+            "discovered strategies");
+}
+
 }  // namespace
 }  // namespace tofu

@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "tofu/core/session.h"
 #include "tofu/memory/liveness.h"
 #include "tofu/models/mlp.h"
 #include "tofu/models/rnn.h"
+#include "tofu/models/transformer.h"
+#include "tofu/models/wresnet.h"
 #include "tofu/partition/plan_io.h"
 
 namespace tofu {
@@ -536,6 +541,97 @@ TEST(GraphSignatures, SensitiveToStructureNotInstance) {
   EXPECT_EQ(GraphSignature(a.graph), GraphSignature(b.graph));
   b.graph.tensor(0).shape[0] += 1;
   EXPECT_NE(GraphSignature(a.graph), GraphSignature(b.graph));
+}
+
+// The graphs search-cold partitions (the paper's Table 1 plus Transformer-48), with the
+// signatures they had before the signature was memoized: the memo must not move them.
+struct PinnedGraph {
+  const char* name;
+  std::function<ModelGraph()> build;
+  std::uint64_t signature;
+};
+
+std::vector<PinnedGraph> PinnedTable1Graphs() {
+  return {
+      {"WResNet-152-10",
+       [] {
+         WResNetConfig config;
+         config.layers = 152;
+         config.width = 10;
+         config.batch = 8;
+         return BuildWResNet(config);
+       },
+       0x84d44b466e4b8fddull},
+      {"RNN-10-8K",
+       [] {
+         RnnConfig config;
+         config.layers = 10;
+         config.hidden = 8192;
+         config.batch = 128;
+         return BuildRnn(config);
+       },
+       0xd595ee126942eb2dull},
+      {"Transformer-48",
+       [] {
+         TransformerConfig config;
+         config.layers = 48;
+         return BuildTransformer(config);
+       },
+       0x110f08120e886bd1ull},
+  };
+}
+
+TEST(GraphSignatureMemo, MemoizedValueEqualsAFreshRecompute) {
+  for (const PinnedGraph& pinned : PinnedTable1Graphs()) {
+    ModelGraph memoized = pinned.build();
+    const std::uint64_t first = GraphSignature(memoized.graph);
+    EXPECT_EQ(first, pinned.signature) << pinned.name;
+    // Served by the memo.
+    EXPECT_EQ(GraphSignature(memoized.graph), first) << pinned.name;
+    // An identical graph nobody has read yet computes the same value from scratch.
+    ModelGraph fresh = pinned.build();
+    EXPECT_EQ(GraphSignature(fresh.graph), first) << pinned.name;
+  }
+}
+
+// Applies `mutate` to a graph whose signature was already read, and to a fresh build
+// that was never read: both must report the changed signature.
+void ExpectMutationClearsTheMemo(const char* mutator,
+                                 const std::function<void(Graph*)>& mutate) {
+  ModelGraph read = SmallMlp();
+  const std::uint64_t before = GraphSignature(read.graph);
+  mutate(&read.graph);
+  const std::uint64_t after = GraphSignature(read.graph);
+  EXPECT_NE(after, before) << mutator;
+  ModelGraph unread = SmallMlp();
+  mutate(&unread.graph);
+  EXPECT_EQ(GraphSignature(unread.graph), after) << mutator;
+}
+
+TEST(GraphSignatureMemo, EveryMutatorClearsTheMemo) {
+  ExpectMutationClearsTheMemo("AddInput", [](Graph* g) { g->AddInput("x2", {4, 4}); });
+  ExpectMutationClearsTheMemo("AddOp", [](Graph* g) { g->AddOp("add", {}, {0, 0}); });
+  ExpectMutationClearsTheMemo("tensor", [](Graph* g) { g->tensor(0).shape[0] += 1; });
+  ExpectMutationClearsTheMemo("op", [](Graph* g) { g->op(0).timestep = 7; });
+}
+
+TEST(GraphSignatureMemo, MovesCarryTheSignatureAndLeaveAUsableSource) {
+  ModelGraph model = SmallMlp();
+  const std::uint64_t signature = GraphSignature(model.graph);
+  Graph moved(std::move(model.graph));
+  EXPECT_EQ(GraphSignature(moved), signature);
+  Graph assigned;
+  GraphSignature(assigned);  // memoize the empty graph's signature, then overwrite it
+  assigned = std::move(moved);
+  EXPECT_EQ(GraphSignature(assigned), signature);
+
+  // The moved-from graph is empty and still builds; its signature tracks what it holds.
+  EXPECT_EQ(GraphSignature(model.graph), GraphSignature(Graph()));
+  model.graph.AddInput("x", {2, 3});
+  EXPECT_EQ(model.graph.num_tensors(), 1);
+  Graph expected;
+  expected.AddInput("x", {2, 3});
+  EXPECT_EQ(GraphSignature(model.graph), GraphSignature(expected));
 }
 
 }  // namespace

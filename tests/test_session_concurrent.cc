@@ -14,7 +14,9 @@
 //     cache) returns plans byte-identical to fresh single-threaded searches no matter
 //     which thread warms the compilation cache first;
 //   * hybrid (kHybrid) and pure (kTofu) requests racing on one graph stay on their own
-//     cache keys with byte-identical deterministic plans, sharing the step-table cache.
+//     cache keys with byte-identical deterministic plans, sharing the step-table cache;
+//   * threads racing on a graph's cold GraphSignature memo all read one value, the one
+//     an unshared identical graph computes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -374,6 +376,37 @@ TEST(SessionConcurrent, HybridAndPureRequestsRaceWithoutCrossTalk) {
   EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
             static_cast<std::int64_t>(kThreads) * kRequestsPerThread);
   EXPECT_EQ(stats.misses, 2);  // one search per algorithm, single-flight absorbs races
+}
+
+TEST(SessionConcurrent, RacingReadersOfAColdSignatureMemoAgree) {
+  MlpConfig config;
+  config.layer_sizes = {512, 256, 128, 10};
+  config.batch = 32;
+  ModelGraph shared = BuildMlp(config);
+  const std::uint64_t expected = GraphSignature(BuildMlp(config).graph);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    shared.graph.op(0);  // mutable access: the memo is cold again
+    std::atomic<int> ready{0};
+    std::vector<std::uint64_t> seen(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+          std::this_thread::yield();
+        }
+        seen[static_cast<size_t>(i)] = GraphSignature(shared.graph);
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    for (std::uint64_t value : seen) {
+      EXPECT_EQ(value, expected) << "round " << round;
+    }
+  }
 }
 
 }  // namespace
