@@ -392,29 +392,18 @@ Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& reques
   }
   const PartitionPlan& plan = response.plan;
 
-  // Liveness-aware per-worker peak -- the figure the event simulator's memory planner
-  // would report for a program-order schedule -- plus the schedule-independent
-  // all-resident upper bound for reporting. The budget check and feasibility verdict
-  // use the peak: summing every shard as simultaneously resident overstated memory and
-  // declared feasible plans infeasible. A hybrid plan's figures are the max over its
-  // stages' stage-restricted peaks (pipeline/stage_cost.h): the whole-graph sweep would
-  // wrongly charge every worker the full model, when each stage's workers hold only
-  // their stage's state plus boundary activations.
+  // The plan's one memory verdict (PlanPeakShardBytes, memory/liveness.h): the
+  // liveness-aware peak -- the figure the event simulator's memory planner would report
+  // for a program-order schedule -- or the repaired schedule's proven peak, or a hybrid
+  // plan's max over its stages' stage-restricted peaks. all_resident is the
+  // schedule-independent upper bound, reported alongside.
+  response.peak_shard_bytes = PlanPeakShardBytes(graph, plan);
   if (plan.pipeline != nullptr) {
     for (const PipelineStage& stage : plan.pipeline->stages) {
-      response.peak_shard_bytes = std::max(response.peak_shard_bytes, stage.peak_bytes);
       response.all_resident_bytes =
           std::max(response.all_resident_bytes, stage.all_resident_bytes);
     }
-  } else if (plan.memory_schedule != nullptr) {
-    // The repair pass attached a schedule: the verdict figure is the scheduled peak
-    // (offloaded buffers charged only at the ops that touch them) -- the number the
-    // repair proved fits the budget. all_resident stays the schedule-independent
-    // upper bound.
-    response.peak_shard_bytes = plan.memory_schedule->scheduled_peak_bytes;
-    response.all_resident_bytes = AllResidentShardBytes(graph, plan);
   } else {
-    response.peak_shard_bytes = LivenessPeakShardBytes(graph, plan);
     response.all_resident_bytes = AllResidentShardBytes(graph, plan);
   }
   response.fits_device_memory =

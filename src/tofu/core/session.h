@@ -144,13 +144,14 @@ struct PartitionRequest {
 
 struct PartitionResponse {
   PartitionPlan plan;
-  // Liveness-aware per-worker peak (LivenessPeakShardBytes, memory/liveness.h): model
-  // state stays resident, activation buffers live from producer to last consumer, and
-  // in-place outputs reuse their input's buffer -- the figure the event simulator's
-  // memory planner reports for a program-order schedule. When the plan carries a
-  // MemorySchedule this is instead the scheduled peak (offloaded buffers charged only
-  // at the ops that touch them, memory/schedule.h). What the budget check and
-  // feasibility verdict use.
+  // The plan's memory verdict (PlanPeakShardBytes, memory/liveness.h): the
+  // liveness-aware per-worker peak -- model state stays resident, activation buffers
+  // live from producer to last consumer, and in-place outputs reuse their input's
+  // buffer, the figure the event simulator's memory planner reports for a
+  // program-order schedule. When the plan carries a MemorySchedule this is instead the
+  // scheduled peak (offloaded buffers charged only at the ops that touch them,
+  // memory/schedule.h); for a hybrid plan, the max over its stages' peaks. What the
+  // budget check and feasibility verdict use.
   std::int64_t peak_shard_bytes = 0;
   // Schedule-independent upper bound: every tensor's shard resident at once (no
   // liveness credit). Kept for reporting; always >= peak_shard_bytes.

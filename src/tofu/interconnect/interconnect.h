@@ -24,9 +24,10 @@
 // recursive partition step experiences, computed by pricing the step's group-local
 // all-to-all pattern. Feeding those into PartitionOptions::step_bandwidths makes the
 // factor-ordering search in partition/recursive.cc optimize real transfer time (within
-// one step a scalar bandwidth cannot change the DP argmin -- see DpOptions::
-// link_bandwidth -- so the per-step DP stays bit-identical, which is what keeps
-// uniform-topology plans byte-identical to the pre-interconnect goldens).
+// one step every transfer crosses the same link, so a scalar bandwidth cannot change the
+// DP argmin; the step DP never sees it -- StepFold::Append prices the chosen step -- so
+// the per-step DP stays bit-identical, which is what keeps uniform-topology plans
+// byte-identical to the pre-interconnect goldens).
 #ifndef TOFU_INTERCONNECT_INTERCONNECT_H_
 #define TOFU_INTERCONNECT_INTERCONNECT_H_
 

@@ -9,6 +9,13 @@ namespace tofu {
 
 namespace {
 
+// Chunks per hop of a multi-hop flow (single-hop flows are never split: one node is
+// already exact), capped per flow. More chunks tighten the pipeline toward the analytic
+// bound at the cost of more events; 4 bounds the store-and-forward overhead at
+// (h-1)/(4h) < 25%.
+constexpr int kChunksPerHop = 4;
+constexpr int kMaxChunks = 64;
+
 SimGraph EmptyTrafficGraph(const Interconnect& net) {
   SimGraph graph;
   graph.num_devices = 1;  // link nodes carry no device memory; one device suffices
@@ -36,8 +43,7 @@ double Makespan(const SimGraph& graph) {
 
 std::vector<std::int32_t> AppendTrafficToSim(const Interconnect& net,
                                              const TrafficMatrix& traffic,
-                                             std::int32_t barrier, SimGraph* graph,
-                                             const TrafficSimOptions& options) {
+                                             std::int32_t barrier, SimGraph* graph) {
   TOFU_CHECK_EQ(traffic.num_workers, net.num_workers());
   TOFU_CHECK_EQ(graph->link_bandwidths.size(), net.links().bandwidth.size());
   const double latency = net.links().hop_latency_s;
@@ -76,8 +82,7 @@ std::vector<std::int32_t> AppendTrafficToSim(const Interconnect& net,
       const std::vector<int>& route = net.Route(s, d);
       const int hops = static_cast<int>(route.size());
       const int chunks =
-          hops <= 1 ? 1
-                    : std::min(options.max_chunks, options.chunks_per_hop * hops);
+          hops <= 1 ? 1 : std::min(kMaxChunks, kChunksPerHop * hops);
       flows.push_back(
           {&route, traffic.At(s, d) / static_cast<double>(chunks), chunks});
     }
@@ -118,10 +123,9 @@ std::vector<std::int32_t> AppendTrafficToSim(const Interconnect& net,
   return deliveries;
 }
 
-double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic,
-                          const TrafficSimOptions& options) {
+double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic) {
   SimGraph graph = EmptyTrafficGraph(net);
-  AppendTrafficToSim(net, traffic, /*barrier=*/-1, &graph, options);
+  AppendTrafficToSim(net, traffic, /*barrier=*/-1, &graph);
   if (graph.nodes.empty()) {
     return 0.0;
   }
@@ -129,13 +133,12 @@ double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic,
 }
 
 double SimAllReduceSeconds(const Interconnect& net, double bytes,
-                           CollectiveAlgorithm algorithm,
-                           const TrafficSimOptions& options) {
+                           CollectiveAlgorithm algorithm) {
   SimGraph graph = EmptyTrafficGraph(net);
   std::int32_t barrier = -1;
   for (const TrafficMatrix& round : net.AllReduceRounds(bytes, algorithm)) {
     std::vector<std::int32_t> deliveries =
-        AppendTrafficToSim(net, round, barrier, &graph, options);
+        AppendTrafficToSim(net, round, barrier, &graph);
     if (!deliveries.empty()) {
       barrier = AddBarrier(&graph, std::move(deliveries));
     }
@@ -146,8 +149,7 @@ double SimAllReduceSeconds(const Interconnect& net, double bytes,
   return Makespan(graph);
 }
 
-double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan,
-                          const TrafficSimOptions& options) {
+double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan) {
   if (plan.steps.empty()) {
     return 0.0;
   }
@@ -171,7 +173,7 @@ double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan,
       continue;
     }
     std::vector<std::int32_t> deliveries = AppendTrafficToSim(
-        net, net.StepTraffic(factors, i, weighted), barrier, &graph, options);
+        net, net.StepTraffic(factors, i, weighted), barrier, &graph);
     if (!deliveries.empty()) {
       barrier = AddBarrier(&graph, std::move(deliveries));
     }

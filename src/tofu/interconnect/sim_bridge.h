@@ -17,33 +17,22 @@
 
 namespace tofu {
 
-struct TrafficSimOptions {
-  // Chunks per hop of a multi-hop flow (single-hop flows are never split: one node is
-  // already exact). More chunks tighten the pipeline toward the analytic bound at the
-  // cost of more events; 4 bounds the store-and-forward overhead at (h-1)/(4h) < 25%.
-  int chunks_per_hop = 4;
-  int max_chunks = 64;
-};
-
 // Appends one traffic matrix's flows to `graph` (whose link_bandwidths must be the
 // interconnect's). Every flow's first hop additionally depends on `barrier` (< 0 for
 // none); returns the delivery nodes (each flow's last hop), e.g. to anchor the next
 // round's barrier.
 std::vector<std::int32_t> AppendTrafficToSim(const Interconnect& net,
                                              const TrafficMatrix& traffic,
-                                             std::int32_t barrier, SimGraph* graph,
-                                             const TrafficSimOptions& options = {});
+                                             std::int32_t barrier, SimGraph* graph);
 
 // One traffic matrix delivered in full, all flows concurrent: the simulated
 // counterpart of Interconnect::TransferSeconds.
-double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic,
-                          const TrafficSimOptions& options = {});
+double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic);
 
 // The collective's round schedule (Interconnect::AllReduceRounds) with a barrier
 // between rounds: the simulated counterpart of Interconnect::AllReduceSeconds.
 double SimAllReduceSeconds(const Interconnect& net, double bytes,
-                           CollectiveAlgorithm algorithm,
-                           const TrafficSimOptions& options = {});
+                           CollectiveAlgorithm algorithm);
 
 // Simulated critical-path time of a plan's communication: each step's weighted bytes
 // spread over the same group-local all-to-all pattern the analytic step estimate
@@ -52,8 +41,7 @@ double SimAllReduceSeconds(const Interconnect& net, double bytes,
 // analytic estimate is in doubt -- Session reports it as
 // PartitionResponse::simulated_comm_seconds whenever the topology carries an
 // interconnect.
-double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan,
-                          const TrafficSimOptions& options = {});
+double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan);
 
 }  // namespace tofu
 

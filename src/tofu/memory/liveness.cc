@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "tofu/memory/schedule.h"
+#include "tofu/pipeline/pipeline_plan.h"
+#include "tofu/util/logging.h"
+
 namespace tofu {
 
 std::vector<TensorId> AliasRoots(const Graph& graph) {
@@ -20,31 +24,48 @@ std::vector<TensorId> AliasRoots(const Graph& graph) {
   return root;
 }
 
-LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan) {
+LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan,
+                                 const std::vector<char>& op_in_stage) {
   const int num_tensors = graph.num_tensors();
+  const bool whole_graph = op_in_stage.empty();
+  TOFU_CHECK(whole_graph || op_in_stage.size() == static_cast<size_t>(graph.num_ops()));
+  auto in_stage = [&](OpId o) {
+    return whole_graph || op_in_stage[static_cast<size_t>(o)] != 0;
+  };
   LivenessAnalysis live;
   live.num_ops = graph.num_ops();
   live.buffer = AliasRoots(graph);
 
   // Per buffer: shard bytes (aliases share storage; take the max member for safety),
-  // allocation time (-1 = resident model state, a producer-less root), and the last op
-  // that reads any alias of it (num_ops = lives to the end of the iteration).
+  // allocation time (-1 = resident: model state, or an incoming boundary activation,
+  // which arrives before the stage runs and is pinned until its gradient leaves), and
+  // the last in-stage op that reads any alias of it (num_ops = lives to the end).
   live.buf_bytes.assign(static_cast<size_t>(num_tensors), 0);
   live.alloc_at.assign(static_cast<size_t>(num_tensors), -1);
   live.free_at.assign(static_cast<size_t>(num_tensors), -1);
   for (TensorId t = 0; t < num_tensors; ++t) {
     const TensorNode& node = graph.tensor(t);
     const TensorId b = live.buffer[static_cast<size_t>(t)];
+    const bool produced_here = node.producer != kNoOp && in_stage(node.producer);
+    bool touches_stage = whole_graph || produced_here;
+    int last_use = -1;
+    for (OpId c : node.consumers) {
+      if (in_stage(c)) {
+        touches_stage = true;
+        last_use = std::max(last_use, static_cast<int>(c));
+      }
+    }
+    if (!touches_stage) {
+      continue;
+    }
     live.buf_bytes[static_cast<size_t>(b)] =
         std::max(live.buf_bytes[static_cast<size_t>(b)], plan.ShardBytes(graph, t));
     if (t == b) {
-      live.alloc_at[static_cast<size_t>(b)] =
-          node.producer == kNoOp ? -1 : node.producer;
+      live.alloc_at[static_cast<size_t>(b)] = produced_here ? node.producer : -1;
     }
-    const int last_use = node.consumers.empty()
-                             ? (node.producer == kNoOp ? -1 : live.num_ops)
-                             : *std::max_element(node.consumers.begin(),
-                                                 node.consumers.end());
+    if (last_use < 0 && produced_here) {
+      last_use = live.num_ops;  // nobody here reads it: pinned to the end (or hand-off)
+    }
     live.free_at[static_cast<size_t>(b)] =
         std::max(live.free_at[static_cast<size_t>(b)], last_use);
   }
@@ -98,6 +119,21 @@ std::int64_t SweepPeakBytes(const LivenessAnalysis& live,
 
 std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan) {
   return SweepPeakBytes(AnalyzeLiveness(graph, plan));
+}
+
+std::int64_t PlanPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
+                                const std::vector<char>& op_in_stage) {
+  if (plan.pipeline != nullptr) {
+    std::int64_t peak = 0;
+    for (const PipelineStage& stage : plan.pipeline->stages) {
+      peak = std::max(peak, stage.peak_bytes);
+    }
+    return peak;
+  }
+  if (plan.memory_schedule != nullptr) {
+    return plan.memory_schedule->scheduled_peak_bytes;
+  }
+  return SweepPeakBytes(AnalyzeLiveness(graph, plan, op_in_stage));
 }
 
 }  // namespace tofu

@@ -8,6 +8,8 @@
 //     its last consumer (a produced tensor nobody reads lives to the end);
 //   - in-place outputs (OpNode::inplace_input) extend their input's buffer instead of
 //     allocating a new one, so an alias chain is one buffer rooted at its first tensor.
+//
+// Restricted by an op mask, the same model gives a pipeline stage's figures.
 #ifndef TOFU_MEMORY_LIVENESS_H_
 #define TOFU_MEMORY_LIVENESS_H_
 
@@ -47,14 +49,21 @@ std::vector<TensorId> AliasRoots(const Graph& graph);
 
 // Resolves alias chains and computes every buffer's bytes and lifetime under `plan`'s
 // final tilings. Op ids are a topological order, so one forward pass suffices.
-LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan);
+//
+// `op_in_stage` (indexed by OpId; empty = the whole graph) restricts the analysis to
+// one pipeline stage's ops: a buffer counts only if some alias is produced by an
+// in-stage op, or is read by one. Producer-less state and incoming boundary activations
+// (off-stage producer, in-stage consumer) are resident for the stage's whole pass; a
+// buffer produced in-stage but read only off-stage is pinned until the end (its
+// hand-off). Buffers no stage worker materializes keep zero bytes.
+LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan,
+                                 const std::vector<char>& op_in_stage = {});
 
 // The program-order peak sweep every peak figure comes from (LivenessPeakShardBytes,
-// ScheduledPeakShardBytes in memory/schedule.h, the stage-restricted peaks of
-// pipeline/stage_cost.h). A root with alloc_at < 0 is charged for the whole iteration;
-// any other root from its allocating op until its free_at op completes, so outputs
-// coexist with still-live inputs. `transient[k]` (empty = none) adds bytes charged only
-// while op k runs.
+// ScheduledPeakShardBytes in memory/schedule.h, PlanPeakShardBytes). A root with
+// alloc_at < 0 is charged for the whole iteration; any other root from its allocating
+// op until its free_at op completes, so outputs coexist with still-live inputs.
+// `transient[k]` (empty = none) adds bytes charged only while op k runs.
 std::int64_t SweepPeakBytes(const LivenessAnalysis& live,
                             const std::vector<std::int64_t>& transient = {});
 
@@ -64,9 +73,20 @@ std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan
 
 // Liveness-aware per-worker peak for a program-order schedule with everything
 // resident: SweepPeakBytes over AnalyzeLiveness, which is ScheduledPeakShardBytes with
-// an empty schedule. Always <= AllResidentShardBytes; this is what the session's budget
-// check and feasibility verdict use.
+// an empty schedule. Always <= AllResidentShardBytes. Ignores any schedule or pipeline
+// the plan carries; callers outside memory/ want PlanPeakShardBytes.
 std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan);
+
+// THE per-worker memory verdict of a plan, the one figure the session's budget check,
+// the hybrid search's feasibility test and its stage peaks, and the recursion's
+// lightest-cuts check all compare against a budget:
+//   - a pipeline plan: the max of its stages' peak_bytes;
+//   - a plan carrying a MemorySchedule: the schedule's scheduled_peak_bytes (what the
+//     repair pass proved fits);
+//   - otherwise the liveness sweep, restricted to `op_in_stage` when given (a stage's
+//     inner plan, see AnalyzeLiveness).
+std::int64_t PlanPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
+                                const std::vector<char>& op_in_stage = {});
 
 }  // namespace tofu
 

@@ -162,7 +162,7 @@ PartitionPlan EqualChopPlan(const Graph& graph, int num_workers,
   StepContext ctx(graph, fold.shapes(), num_workers);
   DpResult dp = RunStepDp(&ctx, coarse, options.dp);
   plan.search_stats = dp.stats;
-  fold.Append(std::move(dp.plan), options.dp.link_bandwidth);
+  fold.Append(std::move(dp.plan), /*link_bandwidth=*/0.0);
   return plan;
 }
 

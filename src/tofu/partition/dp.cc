@@ -20,13 +20,10 @@ namespace tofu {
 std::string DpOptions::Fingerprint() const {
   // num_threads and step_table_cache are deliberately omitted: neither can change the
   // returned plan (the fields' contracts above), so keying on them would only cause
-  // spurious cache misses. memory_budget_bytes is included: the budget steers which
-  // states survive, so plans searched under different budgets differ. prune_dominated
-  // is included for its SearchStats (the plan itself is provably invariant).
-  return StrFormat("dp=%d,%lld,%.17g,%lld,%d;", allow_reduction_strategies ? 1 : 0,
-                   static_cast<long long>(max_states), link_bandwidth,
-                   static_cast<long long>(memory_budget_bytes),
-                   prune_dominated ? 1 : 0);
+  // spurious cache misses. prune_dominated is included for its SearchStats (the plan
+  // itself is provably invariant).
+  return StrFormat("dp=%d,%lld,%d;", allow_reduction_strategies ? 1 : 0,
+                   static_cast<long long>(max_states), prune_dominated ? 1 : 0);
 }
 
 // Named (not anonymous) so StepCompilation below can hold these types in shared_ptr
@@ -292,7 +289,8 @@ std::string StepCacheKey(StepContext* ctx, const Graph& graph, const CoarseGraph
 
 }  // namespace
 
-DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions& options) {
+DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions& options,
+                   std::int64_t memory_budget_bytes) {
   const Graph& graph = ctx->graph();
   const int num_slots = coarse.num_slots();
   const std::size_t num_groups = coarse.groups.size();
@@ -431,7 +429,7 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
   engine_options.max_states = options.max_states;
   engine_options.num_threads = options.num_threads;
   engine_options.prune_dominated = options.prune_dominated;
-  engine_options.memory_budget = static_cast<double>(options.memory_budget_bytes);
+  engine_options.memory_budget = static_cast<double>(memory_budget_bytes);
   if (cached != nullptr) {
     engine_options.reuse_tables = cached->tables;
   }
@@ -475,9 +473,6 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
   BasicPlan plan;
   plan.ways = ctx->ways();
   plan.comm_bytes = search.best_cost;
-  if (options.link_bandwidth > 0.0) {
-    plan.comm_seconds = plan.comm_bytes / options.link_bandwidth;
-  }
   plan.tensor_cut.assign(static_cast<size_t>(graph.num_tensors()), kReplicated);
   for (TensorId t = 0; t < graph.num_tensors(); ++t) {
     plan.tensor_cut[static_cast<size_t>(t)] =

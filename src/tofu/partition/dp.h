@@ -43,21 +43,6 @@ struct DpOptions {
   // differ (they cannot), but because SearchStats differ and cached stats must match
   // what a fresh search would report.
   bool prune_dominated = true;
-  // Bandwidth (bytes/s) of the link this step's traffic crosses; > 0 makes RunStepDp
-  // fill BasicPlan::comm_seconds. Within one step every transfer crosses the same link,
-  // so the bandwidth scales all candidate costs equally and cannot change the argmin --
-  // the recursion (recursive.h) uses it to compare different step *orderings*, where
-  // the byte totals genuinely differ.
-  double link_bandwidth = 0.0;
-  // Resident-byte budget for ONE worker group at this step (the recursion divides the
-  // per-worker budget by the shrink still to come; see recursive.cc). > 0 makes the
-  // search prune assignments whose per-group shard bytes cannot fit and prefer lighter
-  // plans on cost ties, returning the cheapest feasible plan the constrained DP finds
-  // -- guaranteed feasible, and exact except when an equal-key projection merge
-  // discards the state with the only cheap feasible completion (docs/search.md,
-  // "Memory-constrained search", documents this approximation). 0 keeps the search
-  // unconstrained and bit-identical to the pre-budget engine.
-  std::int64_t memory_budget_bytes = 0;
   // Optional cross-request cache of per-step DP compilations (incremental
   // re-planning). Not owned; null disables caching. Deliberately EXCLUDED from
   // Fingerprint -- the cache is a performance vehicle, never an input: a warm lookup
@@ -105,7 +90,7 @@ class StepTableCache {
 
 struct DpResult {
   BasicPlan plan;
-  // False when memory_budget_bytes > 0 excluded every assignment at this step: even
+  // False when a budget > 0 excluded every assignment at this step: even
   // cutting every tensor that can be cut overflows the budget. The plan is then
   // meaningless (empty); min_possible_bytes reports the unbeatable lower bound.
   bool feasible = true;
@@ -120,7 +105,19 @@ struct DpResult {
 };
 
 // Finds the minimum-communication basic plan for ctx->ways() worker groups.
-DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions& options);
+//
+// `memory_budget_bytes` is the resident-byte budget for ONE worker group at this step
+// (the recursion relaxes the per-worker budget by the shrink still to come; see
+// recursive.cc). > 0 makes the search prune assignments whose per-group shard bytes
+// cannot fit and prefer lighter plans on cost ties, returning the cheapest feasible
+// plan the constrained DP finds -- guaranteed feasible, and exact except when an
+// equal-key projection merge discards the state with the only cheap feasible
+// completion (docs/search.md, "Memory-constrained search", documents this
+// approximation). 0 keeps the search unconstrained and bit-identical to the pre-budget
+// engine. The step's seconds are priced by StepFold::Append (partition/strategy.h),
+// which knows the link the step crosses.
+DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions& options,
+                   std::int64_t memory_budget_bytes = 0);
 
 }  // namespace tofu
 

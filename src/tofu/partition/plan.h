@@ -44,8 +44,8 @@ struct BasicPlan {
   std::vector<int> op_strategy;  // indexed by OpId
   // Communication bytes this step incurs *within one worker group* of the previous level.
   double comm_bytes = 0.0;
-  // comm_bytes over the bandwidth of the link this step crosses (DpOptions::
-  // link_bandwidth); 0 when the step was searched without a topology.
+  // comm_bytes over the bandwidth of the link this step crosses (priced by
+  // StepFold::Append); 0 when the step was searched without a topology.
   double comm_seconds = 0.0;
   // Resident bytes ONE worker group of this step stores under the chosen cuts (every
   // tensor's shard at this step's granularity, summed). The last step's figure is the
@@ -76,7 +76,7 @@ struct PartitionPlan {
   // False when the search could not satisfy memory_budget_bytes under its all-resident
   // model at any searched configuration; the plan is then the lightest one found (best
   // effort). The session's authoritative verdict uses the liveness-aware peak, which
-  // can still fit -- see LivenessPeakShardBytes in memory/liveness.h.
+  // can still fit -- see PlanPeakShardBytes in memory/liveness.h.
   bool memory_feasible = true;
   // Hybrid pipeline decomposition (kHybrid only; null for every pure plan). When set,
   // `steps` is empty and the per-stage inner plans live in the stages; plan_io writes
@@ -104,9 +104,9 @@ struct PartitionPlan {
 // first), per §5.2's handling of non-power-of-two device counts.
 std::vector<int> FactorizeWorkers(int num_workers);
 
-// Shard-byte accounting (ShardBytesForCut and friends) lives in memory/bytes.h; the
-// liveness peak and the all-resident bound (AllResidentShardBytes,
-// LivenessPeakShardBytes) live in memory/liveness.h.
+// Shard-byte accounting (ShardBytesForCut and friends) lives in memory/bytes.h; a
+// plan's memory verdict and the all-resident bound (PlanPeakShardBytes,
+// AllResidentShardBytes) live in memory/liveness.h.
 
 }  // namespace tofu
 

@@ -68,7 +68,9 @@ Result<std::vector<double>> ReadNumberArray(const JsonValue& obj, const std::str
 // pre-pipeline serialization, which is what pins every existing digest); a plan carrying
 // a PipelinePlan writes v3 and appends the "pipeline" section, whose per-stage inner
 // plans recurse through this same writer (stage plans are pure, so they nest exactly
-// one level deep).
+// one level deep); a plan carrying a MemorySchedule writes v4 and appends the
+// "memory_schedule" section (never alongside a pipeline; ValidatePlanForGraph rejects
+// the combination).
 void WritePlanObject(JsonWriter* wp, const PartitionPlan& plan) {
   JsonWriter& w = *wp;
   const char* schema = plan.memory_schedule != nullptr
@@ -176,18 +178,25 @@ namespace {
 
 Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
   TOFU_ASSIGN_OR_RETURN(std::string schema, doc.StringAt("schema"));
-  // v3 adds the hybrid pipeline section; v4 adds the memory_schedule section (and may
-  // also carry a pipeline section).
-  const bool v4 = schema == kPlanJsonSchemaV4;
-  const bool v3 = v4 || schema == kPlanJsonSchemaV3;
-  if (!v3 && schema != kPlanJsonSchema) {
+  // v2 is a pure plan; v3 means a pipeline section; v4 means a memory_schedule section
+  // and no pipeline. Stage plans nest as v2.
+  const bool pipelined = schema == kPlanJsonSchemaV3;
+  const bool scheduled = schema == kPlanJsonSchemaV4;
+  if (!pipelined && !scheduled && schema != kPlanJsonSchema) {
     return Status(StatusCode::kInvalidArgument,
                   StrFormat("unknown plan schema '%s' (want %s, %s or %s)", schema.c_str(),
                             kPlanJsonSchemaV4, kPlanJsonSchemaV3, kPlanJsonSchema));
   }
-  if (v3 && depth > 0) {
+  if (depth > 0 && schema != kPlanJsonSchema) {
     return Status(StatusCode::kInvalidArgument,
-                  "pipeline stage plans must be pure (nested pipeline/memory section)");
+                  StrFormat("pipeline stage plans must be pure %s documents, not %s",
+                            kPlanJsonSchema, schema.c_str()));
+  }
+  if (scheduled && doc.Find("pipeline") != nullptr) {
+    return Status(StatusCode::kInvalidArgument,
+                  StrFormat("a %s document carries no pipeline section (pipeline plans "
+                            "are never scheduled)",
+                            kPlanJsonSchemaV4));
   }
 
   PartitionPlan plan;
@@ -264,7 +273,7 @@ Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
                             plan.step_seconds.size()));
   }
 
-  if ((v3 && !v4) || (v4 && doc.Find("pipeline") != nullptr)) {
+  if (pipelined) {
     TOFU_ASSIGN_OR_RETURN(const JsonValue* pipe_obj, doc.ObjectAt("pipeline"));
     auto pipe = std::make_shared<PipelinePlan>();
     TOFU_ASSIGN_OR_RETURN(std::int64_t num_stages, pipe_obj->IntAt("num_stages"));
@@ -328,7 +337,7 @@ Result<PartitionPlan> ParsePlanObject(const JsonValue& doc, int depth) {
     }
     plan.pipeline = std::move(pipe);
   }
-  if (v4) {
+  if (scheduled) {
     TOFU_ASSIGN_OR_RETURN(const JsonValue* sched_obj, doc.ObjectAt("memory_schedule"));
     auto sched = std::make_shared<MemorySchedule>();
     TOFU_ASSIGN_OR_RETURN(sched->budget_bytes, sched_obj->IntAt("budget_bytes"));
@@ -433,10 +442,16 @@ Status ValidatePlan(const Graph& graph, const PartitionPlan& plan,
     }
   }
   if (plan.pipeline != nullptr) {
-    // Hybrid plan: the top level carries no steps of its own; the workers are covered
-    // by the stages' contiguous, disjoint ranges and each stage's inner plan must
-    // itself validate (it spans the whole graph, with off-stage tensors replicated).
+    // Hybrid plan: the top level carries no steps and no schedule of its own; the
+    // workers are covered by the stages' contiguous, disjoint ranges and each stage's
+    // inner plan must itself validate (it spans the whole graph, with off-stage
+    // tensors replicated) and be pure.
     const PipelinePlan& pipe = *plan.pipeline;
+    if (plan.memory_schedule != nullptr) {
+      return Status(StatusCode::kInvalidArgument,
+                    "hybrid plan carries a top-level memory_schedule; pipeline plans "
+                    "are never scheduled");
+    }
     if (!plan.steps.empty()) {
       return Status(StatusCode::kInvalidArgument,
                     StrFormat("hybrid plan carries %zu top-level steps; stages own the "
@@ -471,9 +486,11 @@ Status ValidatePlan(const Graph& graph, const PartitionPlan& plan,
                                 s, stage.first_group, stage.last_group, next_group));
       }
       next_group = stage.last_group + 1;
-      if (stage.plan.pipeline != nullptr) {
+      if (stage.plan.pipeline != nullptr || stage.plan.memory_schedule != nullptr) {
         return Status(StatusCode::kInvalidArgument,
-                      StrFormat("stage %zu inner plan is itself a pipeline", s));
+                      StrFormat("stage %zu inner plan is not pure (it carries a %s)", s,
+                                stage.plan.pipeline != nullptr ? "pipeline"
+                                                               : "memory_schedule"));
       }
       if (stage.plan.num_workers != stage.num_workers) {
         return Status(StatusCode::kInvalidArgument,

@@ -32,10 +32,11 @@ inline constexpr const char* kPlanJsonSchema = "tofu.plan.v2";
 // the v2 tag byte-for-byte, so every pre-pipeline digest is unchanged.
 inline constexpr const char* kPlanJsonSchemaV3 = "tofu.plan.v3";
 // Plans carrying a MemorySchedule (PartitionPlan::memory_schedule set by the repair
-// pass): the base schema plus a "memory_schedule" section with the per-buffer
-// residency decisions and their pricing. Written ONLY when a schedule is attached --
-// schedule-free plans keep their v2/v3 tags byte-for-byte, so every existing digest is
-// unchanged. v2 and v3 files still load.
+// pass): v2 plus a "memory_schedule" section with the per-buffer residency decisions
+// and their pricing, and never a "pipeline" section -- pipeline plans are never
+// scheduled, and a stage's inner plan is always a pure v2 object. Written ONLY when a
+// schedule is attached -- schedule-free plans keep their v2/v3 tags byte-for-byte, so
+// every existing digest is unchanged.
 inline constexpr const char* kPlanJsonSchemaV4 = "tofu.plan.v4";
 
 // Serializes every PartitionPlan field (steps with per-tensor cuts and per-op
@@ -47,8 +48,9 @@ std::string PlanToJson(const PartitionPlan& plan);
 Result<PartitionPlan> PlanFromJson(const std::string& json);
 
 // Checks a (possibly reloaded) plan against a concrete graph: array sizes match the
-// graph, every cut names a real dimension of its tensor, every step factor is sane.
-// Returns kInvalidArgument describing the first violation.
+// graph, every cut names a real dimension of its tensor, every step factor is sane, a
+// pipeline plan carries no schedule and its stage plans are pure. Returns
+// kInvalidArgument describing the first violation.
 Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan);
 
 // FNV-1a fingerprint of the normalized plan JSON (search wall time -- the one

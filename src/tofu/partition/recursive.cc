@@ -58,21 +58,14 @@ PartitionPlan RunSteps(const Graph& graph, int num_workers, const CoarseGraph& c
   StepFold fold(graph, &plan);
   for (size_t i = 0; i < factors.size(); ++i) {
     StepContext ctx(graph, fold.shapes(), factors[i]);
-    DpOptions dp_options = options.dp;
-    // Per-step bandwidths take precedence; a caller-set flat dp.link_bandwidth (the
-    // dp.h contract) survives when no step_bandwidths were provided.
-    const double step_bw = StepBandwidth(options, i);
-    if (step_bw > 0.0) {
-      dp_options.link_bandwidth = step_bw;
-    }
-    dp_options.memory_budget_bytes = StepBudget(options.memory_budget_bytes, factors, i);
-    DpResult dp = RunStepDp(&ctx, coarse, dp_options);
+    DpResult dp = RunStepDp(&ctx, coarse, options.dp,
+                            StepBudget(options.memory_budget_bytes, factors, i));
     plan.search_stats.Merge(dp.stats);
     if (!dp.feasible) {
       plan.memory_feasible = false;
       return plan;
     }
-    fold.Append(std::move(dp.plan), dp_options.link_bandwidth);
+    fold.Append(std::move(dp.plan), StepBandwidth(options, i));
   }
   return plan;
 }
@@ -124,8 +117,7 @@ PartitionPlan MinBytesSteps(const Graph& graph, int num_workers, const CoarseGra
     bp.peak_shard_bytes = StepResidentBytes(
         graph, bp.tensor_cut, f,
         [&ctx](TensorId t) -> const Shape& { return ctx.shape(t); });
-    const double step_bw = StepBandwidth(options, i);
-    fold.Append(std::move(bp), step_bw > 0.0 ? step_bw : options.dp.link_bandwidth);
+    fold.Append(std::move(bp), StepBandwidth(options, i));
   }
   // The real memory constraint is the FINAL per-worker residency: intermediate groups
   // are sets of workers, each of which only ever stores its final shard.
@@ -285,20 +277,20 @@ PartitionPlan RecursivePartitionCoarse(const Graph& graph, int num_workers,
   }
 
   // Even the lightest cuts overflow the all-resident model. The session's authoritative
-  // verdict is the liveness peak, which can still fit -- only when it confirms the
-  // overflow does the repair pass engage: re-search unbudgeted for the minimum-
-  // communication plan, then attach the cheapest recompute/host-swap schedule that
-  // brings its liveness peak within budget (memory/repair.h). The result trades
-  // overhead seconds -- never communication -- for memory, so a budget ladder holds
-  // comm constant while overhead grows monotonically. If even a full offload cannot
-  // fit, the infeasible witness survives so the session can report the unbeatable
-  // deficit plus the floor no schedule can beat.
-  if (LivenessPeakShardBytes(graph, lightest) <= options.memory_budget_bytes) {
+  // verdict is PlanPeakShardBytes (for this schedule-free plan, the liveness peak),
+  // which can still fit -- only when it confirms the overflow does the repair pass
+  // engage: re-search unbudgeted for the minimum-communication plan, then attach the
+  // cheapest recompute/host-swap schedule that brings its liveness peak within budget
+  // (memory/repair.h). The result trades overhead seconds -- never communication --
+  // for memory, so a budget ladder holds comm constant while overhead grows
+  // monotonically. If even a full offload cannot fit, the infeasible witness survives
+  // so the session can report the unbeatable deficit plus the floor no schedule can
+  // beat.
+  if (PlanPeakShardBytes(graph, lightest) <= options.memory_budget_bytes) {
     return lightest;
   }
   PartitionOptions relaxed = options;
   relaxed.memory_budget_bytes = 0;
-  relaxed.dp.memory_budget_bytes = 0;
   PartitionPlan base = RecursivePartitionCoarse(graph, num_workers, coarse, relaxed);
   const RepairResult repair =
       BuildRepairSchedule(graph, base, options.memory_budget_bytes,

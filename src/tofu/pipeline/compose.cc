@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tofu/memory/liveness.h"
+#include "tofu/memory/schedule.h"
 #include "tofu/pipeline/pipeline_sim.h"
 #include "tofu/pipeline/stage_cost.h"
 #include "tofu/util/logging.h"
@@ -15,6 +16,15 @@ namespace tofu {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Upper bound on the stage count: candidates are the divisors S of num_workers with
+// S <= min(kMaxStages, #macro groups).
+constexpr int kMaxStages = 8;
+// Micro-batches per stage: M = kMicroBatchesPerStage * S, capped by the batch extent
+// (dimension 0 of the first graph input). More micro-batches shrink the pipeline
+// bubble but multiply kernel-launch overhead; 4S keeps the bubble under ~25% of steady
+// state.
+constexpr int kMicroBatchesPerStage = 4;
 
 // Batch extent driving the micro-batch cap: dimension 0 of the first graph input.
 int BatchExtent(const Graph& graph) {
@@ -135,13 +145,15 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
   };
 
   Candidate best;
-  const int max_stages = std::min({std::max(hybrid.max_stages, 1), G, num_workers});
+  const int max_stages = std::min({kMaxStages, G, num_workers});
   for (int S = 1; S <= max_stages; ++S) {
     if (num_workers % S != 0) {
       continue;
     }
     if (S == 1) {
-      // The degenerate candidate IS the pure recursive plan, untouched.
+      // The degenerate candidate IS the pure recursive plan, untouched -- repaired by
+      // the recursion's memory policy when the budget needs it, in which case it is
+      // judged by the peak its schedule proves and pays the schedule's overhead.
       Candidate pure;
       pure.plan = RecursivePartitionCoarse(graph, num_workers, coarse, options);
       std::vector<double> f;
@@ -155,8 +167,10 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
                               ? pure.plan.estimated_comm_seconds
                               : pure.plan.total_comm_bytes / boundary_bw;
       pure.total_seconds = compute + comm;
-      pure.feasible =
-          budget <= 0 || LivenessPeakShardBytes(graph, pure.plan) <= budget;
+      if (pure.plan.memory_schedule != nullptr) {
+        pure.total_seconds += pure.plan.memory_schedule->AnalyticOverheadSeconds();
+      }
+      pure.feasible = budget <= 0 || PlanPeakShardBytes(graph, pure.plan) <= budget;
       pure.valid = true;
       if (Beats(pure, best)) {
         best = std::move(pure);
@@ -165,7 +179,7 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
     }
 
     const int w = num_workers / S;
-    const int M = std::max(1, std::min(hybrid.micro_batches_per_stage * S, batch));
+    const int M = std::max(1, std::min(kMicroBatchesPerStage * S, batch));
 
     // Per-group, per-micro-batch pass times at this candidate's (w, M).
     std::vector<double> f;
@@ -234,13 +248,16 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
     }
 
     // Compose: run the budget-aware recursive DP inside each stage on the
-    // stage-filtered coarse graph, then assemble the pipeline's analytic cost.
+    // stage-filtered coarse graph, then assemble the pipeline's analytic cost. Stage
+    // plans stay pure: the repair pass would judge a stage by whole-graph liveness,
+    // and offloading is the S = 1 candidate's lever, not a stage's.
     auto pipe = std::make_shared<PipelinePlan>();
     pipe->num_stages = S;
     pipe->micro_batches = M;
     PartitionOptions inner_options = options;
     inner_options.step_bandwidths =
         StageStepBandwidths(options.step_bandwidths, num_workers, w);
+    inner_options.memory_policy = MemoryPolicy::kNone;
     SearchStats merged;
     double total_comm_bytes = 0.0;
     double comm_seconds = 0.0;
@@ -301,7 +318,7 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
       }
 
       const std::vector<char> mask = StageOpMask(graph, coarse, first, last);
-      stage.peak_bytes = StageLivenessPeakShardBytes(graph, stage.plan, mask);
+      stage.peak_bytes = PlanPeakShardBytes(graph, stage.plan, mask);
       stage.all_resident_bytes = StageAllResidentShardBytes(graph, stage.plan, mask);
       if (budget > 0 && stage.peak_bytes > budget) {
         feasible = false;

@@ -27,17 +27,9 @@
 namespace tofu {
 
 // Knobs of the hybrid search, separate from PartitionOptions so pure plans' cache keys
-// and fingerprints are untouched. The session passes its topology's interconnect and
-// coarsest bandwidth; tests force stage counts.
+// and fingerprints are untouched. The session passes its topology's interconnect,
+// coarsest bandwidth and cluster.
 struct HybridOptions {
-  // Upper bound on the stage count; candidates are the divisors S of num_workers with
-  // S <= min(max_stages, #macro groups). 1 forces the pure-Tofu degenerate case.
-  int max_stages = 8;
-  // Micro-batches per stage: M = micro_batches_per_stage * S, capped by the batch
-  // extent (dimension 0 of the first graph input). More micro-batches shrink the
-  // pipeline bubble but multiply kernel-launch overhead; 4S keeps the bubble under
-  // ~25% of steady state.
-  int micro_batches_per_stage = 4;
   // Prices stage-boundary transfers between adjacent worker ranges when set (uniform
   // spread traffic matrix through the link graph, contention included). Null prices
   // them at fallback_bandwidth (or the coarsest step bandwidth when options carry one).
@@ -54,7 +46,11 @@ struct HybridOptions {
 // byte-identical to RecursivePartition under the same options). `options` is the same
 // struct the pure search takes: step_bandwidths price intra-stage splits (stages see
 // its suffix), memory_budget_bytes constrains both the stage DP's state filter and the
-// inner searches, and dp.step_table_cache is shared across stages.
+// inner searches, and dp.step_table_cache is shared across stages. Every candidate is
+// judged against the budget by PlanPeakShardBytes (memory/liveness.h). Only the S = 1
+// candidate applies options.memory_policy, and it pays its schedule's analytic
+// overhead in the time it competes on; stage searches run under MemoryPolicy::kNone,
+// so stage plans are always pure (no schedule, no pipeline).
 PartitionPlan HybridPartition(const Graph& graph, int num_workers,
                               const PartitionOptions& options = {},
                               const HybridOptions& hybrid = {});

@@ -174,69 +174,9 @@ std::int64_t StageCostModel::StateBytes(int first, int last) const {
          state_prefix_[static_cast<size_t>(first)];
 }
 
-namespace {
-
-// The stage-restricted buffer model behind both stage memory figures: AnalyzeLiveness
-// (memory/liveness.h) with a stage mask. A buffer counts only if some alias is produced
-// by an in-stage op, is producer-less state consumed in-stage, or is an incoming
-// boundary activation (off-stage producer, in-stage consumer) -- the latter two stay
-// resident for the whole pass. Buffers no stage worker materializes keep zero bytes.
-LivenessAnalysis StageLiveness(const Graph& graph, const PartitionPlan& plan,
-                               const std::vector<char>& op_in_stage) {
-  const int num_tensors = graph.num_tensors();
-  const int num_ops = graph.num_ops();
-  TOFU_CHECK_EQ(op_in_stage.size(), static_cast<size_t>(num_ops));
-  auto in_stage = [&](OpId o) { return op_in_stage[static_cast<size_t>(o)] != 0; };
-
-  LivenessAnalysis live;
-  live.num_ops = num_ops;
-  live.buffer = AliasRoots(graph);
-  live.buf_bytes.assign(static_cast<size_t>(num_tensors), 0);
-  live.alloc_at.assign(static_cast<size_t>(num_tensors), -1);
-  live.free_at.assign(static_cast<size_t>(num_tensors), -1);
-  // Alloc / free positions count in-stage ops only.
-  for (TensorId t = 0; t < num_tensors; ++t) {
-    const TensorNode& node = graph.tensor(t);
-    const TensorId b = live.buffer[static_cast<size_t>(t)];
-    const bool produced_here = node.producer != kNoOp && in_stage(node.producer);
-    bool touches_stage = produced_here;
-    int last_use = -1;
-    for (OpId c : node.consumers) {
-      if (in_stage(c)) {
-        touches_stage = true;
-        last_use = std::max(last_use, static_cast<int>(c));
-      }
-    }
-    if (!touches_stage) {
-      continue;
-    }
-    live.buf_bytes[static_cast<size_t>(b)] =
-        std::max(live.buf_bytes[static_cast<size_t>(b)], plan.ShardBytes(graph, t));
-    if (t == b) {
-      // Resident for the stage: producer-less state, and incoming boundary activations
-      // (the producer runs on another stage's workers; the shard arrives before the
-      // stage's pass and is pinned until its gradient leaves).
-      live.alloc_at[static_cast<size_t>(b)] = produced_here ? node.producer : -1;
-    }
-    if (last_use < 0 && produced_here) {
-      last_use = num_ops;  // produced here, consumed elsewhere: pinned until hand-off
-    }
-    live.free_at[static_cast<size_t>(b)] =
-        std::max(live.free_at[static_cast<size_t>(b)], last_use);
-  }
-  return live;
-}
-
-}  // namespace
-
-std::int64_t StageLivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
-                                         const std::vector<char>& op_in_stage) {
-  return SweepPeakBytes(StageLiveness(graph, plan, op_in_stage));
-}
-
 std::int64_t StageAllResidentShardBytes(const Graph& graph, const PartitionPlan& plan,
                                         const std::vector<char>& op_in_stage) {
-  const LivenessAnalysis live = StageLiveness(graph, plan, op_in_stage);
+  const LivenessAnalysis live = AnalyzeLiveness(graph, plan, op_in_stage);
   std::int64_t total = 0;
   for (std::int64_t bytes : live.buf_bytes) {
     total += bytes;  // zero for aliases and for buffers off the stage

@@ -37,7 +37,7 @@ std::vector<int> OpGroupIndex(const Graph& graph, const CoarseGraph& coarse);
 CoarseGraph StageCoarse(const CoarseGraph& full, int first_group, int last_group);
 
 // 1 for ops whose macro group lies in [first_group, last_group], else 0. The mask the
-// stage-restricted memory accounting below consumes.
+// stage-restricted memory accounting (AnalyzeLiveness in memory/liveness.h) consumes.
 std::vector<char> StageOpMask(const Graph& graph, const CoarseGraph& coarse,
                               int first_group, int last_group);
 
@@ -86,18 +86,9 @@ class StageCostModel {
   std::vector<std::int64_t> state_prefix_;
 };
 
-// LivenessPeakShardBytes restricted to one stage's workers (the same sweep over a
-// stage-masked buffer model): only buffers a stage worker materializes count --
-// stage-owned model state, buffers produced by in-stage ops, and incoming boundary
-// activations (produced off-stage, consumed in-stage), which stay resident for the
-// stage's whole pass (they arrive before the stage runs and their gradient hand-off
-// pins them). Off-stage buffers contribute nothing, which is the whole memory point of
-// pipelining: LivenessPeakShardBytes on a stage's inner plan would charge every worker
-// the full model.
-std::int64_t StageLivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
-                                         const std::vector<char>& op_in_stage);
-
-// Stage-restricted all-resident upper bound (every in-stage buffer at once).
+// Stage-restricted all-resident upper bound: every buffer the stage's workers
+// materialize, at once (the sum over AnalyzeLiveness with the stage mask). The stage's
+// peak is PlanPeakShardBytes with the same mask (memory/liveness.h).
 std::int64_t StageAllResidentShardBytes(const Graph& graph, const PartitionPlan& plan,
                                         const std::vector<char>& op_in_stage);
 

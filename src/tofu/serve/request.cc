@@ -47,11 +47,13 @@ Status ReadIntArray(const JsonValue& object, const std::string& key,
   std::vector<std::int64_t> values;
   values.reserve(array->AsArray().size());
   for (const JsonValue& element : array->AsArray()) {
-    if (element.kind() != JsonValue::Kind::kNumber) {
+    std::int64_t value = 0;
+    if (element.kind() != JsonValue::Kind::kNumber ||
+        !IsExactInt64(element.AsNumber(), &value)) {
       return Status(StatusCode::kInvalidArgument,
-                    "field '" + key + "' must be an array of numbers");
+                    "field '" + key + "' must be an array of integers");
     }
-    values.push_back(element.AsInt());
+    values.push_back(value);
   }
   *out = std::move(values);
   return Status::Ok();

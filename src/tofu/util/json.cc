@@ -171,11 +171,9 @@ double JsonValue::AsNumber() const {
   return number_;
 }
 
-namespace {
-
-// True when the double is an exactly-representable int64 (the cast itself is UB for
-// out-of-range values, so the range check must come first; 2^63 is representable).
 bool IsExactInt64(double n, std::int64_t* out) {
+  // The cast itself is UB for out-of-range values, so the range check comes first;
+  // 2^63 is representable.
   if (!(n >= -9223372036854775808.0 && n < 9223372036854775808.0)) {
     return false;
   }
@@ -186,8 +184,6 @@ bool IsExactInt64(double n, std::int64_t* out) {
   *out = i;
   return true;
 }
-
-}  // namespace
 
 std::int64_t JsonValue::AsInt() const {
   const double n = AsNumber();

@@ -107,6 +107,10 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+// True when `n` is an exactly-representable int64, stored into *out. The check behind
+// JsonValue::AsInt and IntAt, for callers that read integers out of arrays.
+bool IsExactInt64(double n, std::int64_t* out);
+
 // Compact re-serialization of a parsed value (numbers in %.17g, so a parse ->
 // serialize round trip is byte-stable for JsonWriter-produced documents). Lets a
 // consumer cut one subtree out of a larger document -- e.g. the "plan" member of a

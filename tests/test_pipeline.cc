@@ -9,11 +9,15 @@
 //     fill/drain formula is NOT a lower bound;
 //   * HybridPartition's stage DP: deterministic stage goldens, a per-worker budget the
 //     pure plan cannot meet forces a multi-stage plan whose every stage fits
-//     (budget-infeasible -> more stages), and max_stages = 1 degenerates to a plan
+//     (budget-infeasible -> more stages), and an S = 1 winner is a plan
 //     byte-identical to RecursivePartition's;
 //   * the session integration: kHybrid round-trips through AlgorithmFromName, a hybrid
 //     response's memory figures are the max over stage-restricted peaks, and repeated
-//     requests hit the plan cache.
+//     requests hit the plan cache;
+//   * one memory verdict: under a budget the repair pass meets, kHybrid returns
+//     kTofu's repaired plan, every HybridPartition plan round-trips through JSON with
+//     pure stage plans, and AnalyzeLiveness without a stage mask is the whole-graph
+//     buffer model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +28,9 @@
 #include "tofu/core/session.h"
 #include "tofu/memory/liveness.h"
 #include "tofu/models/mlp.h"
+#include "tofu/models/rnn.h"
+#include "tofu/models/transformer.h"
+#include "tofu/models/wresnet.h"
 #include "tofu/partition/plan_io.h"
 #include "tofu/partition/recursive.h"
 #include "tofu/pipeline/compose.h"
@@ -198,13 +205,13 @@ TEST(PipelineSim, BalancedStagesMatchTheClassicFormula) {
 }
 
 TEST(HybridPartition, OneStageDegeneratesToTheExactPurePlan) {
-  ModelGraph model = DeepMlp();
-  HybridOptions hybrid;
-  hybrid.max_stages = 1;
-  const PartitionPlan forced = HybridPartition(model.graph, 8, {}, hybrid);
-  const PartitionPlan pure = RecursivePartition(model.graph, 8);
-  EXPECT_EQ(forced.pipeline, nullptr);
-  EXPECT_EQ(PlanBytes(forced), PlanBytes(pure));
+  // Unconstrained, this graph's comm is negligible and S = 1 wins: the hybrid answer
+  // is the pure recursive plan, byte for byte.
+  ModelGraph model = NarrowMlp();
+  const PartitionPlan hybrid = HybridPartition(model.graph, 32);
+  const PartitionPlan pure = RecursivePartition(model.graph, 32);
+  EXPECT_EQ(hybrid.pipeline, nullptr);
+  EXPECT_EQ(PlanBytes(hybrid), PlanBytes(pure));
 }
 
 TEST(HybridPartition, UnconstrainedSearchIsDeterministic) {
@@ -324,6 +331,154 @@ TEST(SessionHybrid, AlgorithmNameRoundTripsAndResponseUsesStagePeaks) {
   Result<PartitionResponse> rejected = session.Partition(hopeless);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+}
+
+ModelGraph Transformer4() {
+  TransformerConfig config;
+  config.layers = 4;
+  return BuildTransformer(config);
+}
+
+// Budgets below Transformer-4's unconstrained Tofu peak on 16 workers, which the
+// repair pass meets by offloading.
+const double kBudgetFractions[] = {0.6, 0.7, 0.8, 0.9};
+
+TEST(SessionHybrid, RepairableBudgetReturnsTheTofuPlan) {
+  ModelGraph model = Transformer4();
+  Session session(DeviceTopology::Uniform(16));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  Result<PartitionResponse> unconstrained = session.Partition(request);
+  ASSERT_TRUE(unconstrained.ok()) << unconstrained.status().ToString();
+  const std::int64_t peak = unconstrained->peak_shard_bytes;
+  EXPECT_EQ(peak, 16417036);
+
+  for (double fraction : kBudgetFractions) {
+    SCOPED_TRACE(fraction);
+    request.memory_budget_bytes = static_cast<std::int64_t>(fraction * peak);
+    request.algorithm = PartitionAlgorithm::kTofu;
+    Result<PartitionResponse> tofu = session.Partition(request);
+    request.algorithm = PartitionAlgorithm::kHybrid;
+    Result<PartitionResponse> hybrid = session.Partition(request);
+    ASSERT_TRUE(tofu.ok()) << tofu.status().ToString();
+    ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
+    ASSERT_NE(tofu->plan.memory_schedule, nullptr);
+    EXPECT_EQ(PlanDigest(hybrid->plan), PlanDigest(tofu->plan));
+    EXPECT_EQ(hybrid->peak_shard_bytes, tofu->peak_shard_bytes);
+    EXPECT_LE(hybrid->peak_shard_bytes, request.memory_budget_bytes);
+  }
+}
+
+TEST(HybridPartition, BudgetedPlansRoundTripWithPureStages) {
+  ModelGraph model = Transformer4();
+  PartitionOptions options;
+  options.step_bandwidths = {21e9};
+  const std::int64_t peak =
+      PlanPeakShardBytes(model.graph, RecursivePartition(model.graph, 16, options));
+  int pipelines = 0;
+  for (MemoryPolicy policy : {MemoryPolicy::kAuto, MemoryPolicy::kNone}) {
+    for (double fraction : kBudgetFractions) {
+      SCOPED_TRACE(fraction);
+      options.memory_policy = policy;
+      options.memory_budget_bytes = static_cast<std::int64_t>(fraction * peak);
+      const PartitionPlan plan = HybridPartition(model.graph, 16, options);
+      const std::string json = PlanToJson(plan);
+      Result<PartitionPlan> reloaded = PlanFromJson(json);
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      EXPECT_EQ(PlanToJson(*reloaded), json);
+      EXPECT_TRUE(ValidatePlanForGraph(model.graph, plan).ok());
+      if (plan.pipeline == nullptr) {
+        // S = 1 won: under kAuto it is the repaired plan, judged by its schedule.
+        EXPECT_EQ(plan.memory_schedule != nullptr, policy == MemoryPolicy::kAuto);
+        continue;
+      }
+      ++pipelines;
+      EXPECT_EQ(plan.memory_schedule, nullptr);
+      for (const PipelineStage& stage : plan.pipeline->stages) {
+        EXPECT_EQ(stage.plan.memory_schedule, nullptr);
+        EXPECT_EQ(stage.plan.pipeline, nullptr);
+      }
+    }
+  }
+  // Without offloading, pipelines win: the stage checks above are not vacuous.
+  EXPECT_GT(pipelines, 0);
+}
+
+// The whole-graph buffer model written out on its own, without stage logic: the
+// oracle AnalyzeLiveness with an empty mask must reproduce exactly.
+LivenessAnalysis WholeGraphLiveness(const Graph& graph, const PartitionPlan& plan) {
+  LivenessAnalysis live;
+  live.num_ops = graph.num_ops();
+  live.buffer = AliasRoots(graph);
+  const size_t n = static_cast<size_t>(graph.num_tensors());
+  live.buf_bytes.assign(n, 0);
+  live.alloc_at.assign(n, -1);
+  live.free_at.assign(n, -1);
+  for (TensorId t = 0; t < graph.num_tensors(); ++t) {
+    const TensorNode& node = graph.tensor(t);
+    const size_t b = static_cast<size_t>(live.buffer[static_cast<size_t>(t)]);
+    live.buf_bytes[b] = std::max(live.buf_bytes[b], plan.ShardBytes(graph, t));
+    if (static_cast<size_t>(t) == b) {
+      live.alloc_at[b] = node.producer == kNoOp ? -1 : node.producer;
+    }
+    const int last_use = node.consumers.empty()
+                             ? (node.producer == kNoOp ? -1 : live.num_ops)
+                             : *std::max_element(node.consumers.begin(),
+                                                 node.consumers.end());
+    live.free_at[b] = std::max(live.free_at[b], last_use);
+  }
+  return live;
+}
+
+TEST(Liveness, EmptyStageMaskIsTheWholeGraphAnalysis) {
+  TransformerConfig transformer;
+  transformer.layers = 2;
+  transformer.d_model = 64;
+  transformer.d_ff = 256;
+  transformer.seq_len = 16;
+  WResNetConfig wresnet;
+  wresnet.width = 1;
+  wresnet.batch = 8;
+  wresnet.image = 64;
+  RnnConfig rnn;
+  rnn.layers = 2;
+  rnn.hidden = 256;
+  rnn.batch = 16;
+  rnn.timesteps = 4;
+  rnn.embed = 64;
+  std::vector<ModelGraph> models;
+  models.push_back(BuildTransformer(transformer));
+  models.push_back(BuildWResNet(wresnet));
+  models.push_back(BuildRnn(rnn));
+
+  for (ModelGraph& model : models) {
+    SCOPED_TRACE(model.name);
+    // State no op reads or writes is still resident on every worker.
+    const TensorId orphan = model.graph.AddParam("orphan", {64, 64});
+    const PartitionPlan plan = RecursivePartition(model.graph, 8);
+    const LivenessAnalysis oracle = WholeGraphLiveness(model.graph, plan);
+    const LivenessAnalysis live = AnalyzeLiveness(model.graph, plan);
+    EXPECT_EQ(live.num_ops, oracle.num_ops);
+    EXPECT_EQ(live.buffer, oracle.buffer);
+    EXPECT_EQ(live.buf_bytes, oracle.buf_bytes);
+    EXPECT_EQ(live.alloc_at, oracle.alloc_at);
+    EXPECT_EQ(live.free_at, oracle.free_at);
+    EXPECT_GT(live.buf_bytes[static_cast<size_t>(orphan)], 0);
+    EXPECT_TRUE(live.IsModelState(orphan));
+    EXPECT_EQ(PlanPeakShardBytes(model.graph, plan), SweepPeakBytes(oracle));
+    EXPECT_EQ(LivenessPeakShardBytes(model.graph, plan), SweepPeakBytes(oracle));
+
+    // A mask that keeps every op is NOT the empty mask: it drops exactly the tensors
+    // no op touches.
+    const std::vector<char> all(static_cast<size_t>(model.graph.num_ops()), 1);
+    LivenessAnalysis masked = AnalyzeLiveness(model.graph, plan, all);
+    EXPECT_EQ(masked.buf_bytes[static_cast<size_t>(orphan)], 0);
+    masked.buf_bytes[static_cast<size_t>(orphan)] =
+        oracle.buf_bytes[static_cast<size_t>(orphan)];
+    EXPECT_EQ(masked.buf_bytes, oracle.buf_bytes);
+    EXPECT_EQ(masked.alloc_at, oracle.alloc_at);
+    EXPECT_EQ(masked.free_at, oracle.free_at);
+  }
 }
 
 }  // namespace

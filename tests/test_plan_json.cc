@@ -8,6 +8,7 @@
 #include <string>
 
 #include "tofu/core/session.h"
+#include "tofu/memory/schedule.h"
 #include "tofu/models/mlp.h"
 #include "tofu/partition/plan_io.h"
 #include "tofu/pipeline/compose.h"
@@ -182,6 +183,44 @@ TEST(PlanJson, RejectsNestedPipelineSections) {
   Result<PartitionPlan> reloaded = PlanFromJson(json);
   ASSERT_FALSE(reloaded.ok());
   EXPECT_EQ(reloaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlanJson, SchedulesRideOnlyOnPurePlans) {
+  // A pipeline plan is never scheduled, and its stage plans are pure: both the
+  // validator and the loader refuse a schedule on either.
+  ModelGraph narrow = NarrowModel();
+  const PartitionPlan plan = HybridPlan(narrow);
+  ASSERT_NE(plan.pipeline, nullptr);
+  auto schedule = std::make_shared<MemorySchedule>();
+  schedule->budget_bytes = 150;
+  schedule->decisions.push_back({/*tensor=*/0, Residency::kSwap, 64.0, 1e-6});
+
+  PartitionPlan scheduled_pipeline = plan;
+  scheduled_pipeline.memory_schedule = schedule;
+  EXPECT_EQ(ValidatePlanForGraph(narrow.graph, scheduled_pipeline).code(),
+            StatusCode::kInvalidArgument);
+  Result<PartitionPlan> reloaded = PlanFromJson(PlanToJson(scheduled_pipeline));
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.status().code(), StatusCode::kInvalidArgument);
+
+  PipelinePlan stages = *plan.pipeline;
+  stages.stages[1].plan.memory_schedule = schedule;
+  PartitionPlan scheduled_stage = plan;
+  scheduled_stage.pipeline = std::make_shared<const PipelinePlan>(stages);
+  const Status status = ValidatePlanForGraph(narrow.graph, scheduled_stage);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "stage 1 inner plan is not pure (it carries a memory_schedule)");
+  reloaded = PlanFromJson(PlanToJson(scheduled_stage));
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.status().code(), StatusCode::kInvalidArgument);
+
+  // The same schedule on a pure plan is the v4 document the repair pass writes.
+  const PartitionPlan& scheduled_pure = stages.stages[1].plan;
+  EXPECT_TRUE(ValidatePlanForGraph(narrow.graph, scheduled_pure).ok());
+  reloaded = PlanFromJson(PlanToJson(scheduled_pure));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_NE(reloaded->memory_schedule, nullptr);
 }
 
 TEST(PlanValidate, RejectsHybridPlansWithBrokenStageCoverage) {

@@ -1,6 +1,6 @@
-// Serve-boundary validation: model specs whose tensor byte sizes overflow int64 and
-// negative memory fields come back as kInvalidArgument instead of planning on wrapped
-// sizes. The overflow lines run clean under the ASan/UBSan job: the check multiplies
+// Serve-boundary validation: model specs whose tensor byte sizes overflow int64,
+// negative memory fields and non-integral integer-array elements come back as
+// kInvalidArgument instead of planning on wrapped sizes or aborting. The overflow lines run clean under the ASan/UBSan job: the check multiplies
 // and adds only after proving the result fits.
 #include <gtest/gtest.h>
 
@@ -81,6 +81,32 @@ TEST(ServeRequest, OverflowingSpecIsAnErrorResponseNotAPlan) {
   EXPECT_FALSE(*doc->BoolAt("ok"));
   EXPECT_EQ(*doc->StringAt("code"), "INVALID_ARGUMENT");
   EXPECT_EQ(*doc->IntAt("id"), 9);
+}
+
+TEST(ServeRequest, NonIntegralArrayElementsAreInvalidArgument) {
+  // A fraction and a value beyond int64 in an integer array: both are rejected by
+  // name, directly and as an error response, instead of aborting the daemon.
+  for (const char* value : {"784.5", "1e300"}) {
+    const std::string config =
+        std::string("\"config\":{\"layer_sizes\":[") + value + ",10]}}";
+    Result<ServeRequest> request =
+        ParseServeRequest("{\"model\":\"mlp\",\"workers\":4," + config);
+    ASSERT_FALSE(request.ok()) << value;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(request.status().message().find("'layer_sizes'"), std::string::npos)
+        << request.status().ToString();
+
+    PlanService service;
+    const std::string response = HandleServeLine(
+        service, "{\"id\":1,\"model\":\"mlp\",\"workers\":4," + config,
+        /*include_plan=*/false);
+    Result<JsonValue> doc = ParseJson(response);
+    ASSERT_TRUE(doc.ok()) << response;
+    EXPECT_FALSE(*doc->BoolAt("ok"));
+    EXPECT_EQ(*doc->StringAt("code"), "INVALID_ARGUMENT");
+    EXPECT_NE(doc->StringAt("error")->find("layer_sizes"), std::string::npos) << response;
+    EXPECT_EQ(*doc->IntAt("id"), -1);  // the parser rejected the line: no id
+  }
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 # AlgorithmName (src/tofu/core/session.cc) must appear in both docs/serving.md and
 # docs/api.md, and the shard-kernel cost recipe must stay in one place (KernelSeconds is
 # called only under src/tofu/sim/), and so must the communication-cost table (halo_elems
-# is read only under src/tofu/tdl/ and in partition/strategy.{h,cc}), and every
-# search_stats key plan JSON carries must be documented in docs/search.md. Run from anywhere; exits non-zero listing the drift. CI
-# runs this on every push (see .github/workflows/ci.yml).
+# is read only under src/tofu/tdl/ and in partition/strategy.{h,cc}), and so must a
+# plan's memory verdict (LivenessPeakShardBytes is called only under src/tofu/memory/;
+# everything else asks PlanPeakShardBytes), and every search_stats key plan JSON
+# carries must be documented in docs/search.md. Run from anywhere; exits non-zero
+# listing the drift. CI runs this on every push (see .github/workflows/ci.yml).
 set -u
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 doc="$repo/docs/tdl.md"
@@ -127,6 +129,20 @@ if [[ -n "$copies" ]]; then
   exit 1
 fi
 echo "check_docs: halo_elems is read only under src/tofu/tdl/ and in partition/strategy.{h,cc}"
+
+# One memory verdict: a plan's peak is PlanPeakShardBytes (memory/liveness.h), which
+# honours an attached schedule, a pipeline's stage peaks and a stage mask. Outside
+# src/tofu/memory/, a direct LivenessPeakShardBytes call is a second verdict that
+# ignores all three, so two layers can disagree on whether one plan fits.
+copies=$(grep -rnE '(^|[^A-Za-z0-9_])LivenessPeakShardBytes\(' "$repo/src/tofu" \
+  --include='*.cc' --include='*.h' | grep -v "^$repo/src/tofu/memory/")
+if [[ -n "$copies" ]]; then
+  echo "check_docs: LivenessPeakShardBytes( called outside src/tofu/memory/" \
+    "(use PlanPeakShardBytes):" >&2
+  echo "${copies//$repo\//}" >&2
+  exit 1
+fi
+echo "check_docs: LivenessPeakShardBytes is called only under src/tofu/memory/"
 
 # Every key PlanToJson writes inside "search_stats" must be documented (backticked) in
 # docs/search.md: those counters are serialized into plans and digests, so a change to

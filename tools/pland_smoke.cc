@@ -4,7 +4,8 @@
 //
 // Pipes a small mixed batch (a duplicated MLP request, a tiny RNN, an unknown model,
 // a malformed line, a budget-constrained Hybrid request, an out-of-range worker count,
-// and a spec whose tensor bytes overflow int64) through the daemon, then
+// a spec whose tensor bytes overflow int64, and a fractional layer size) through the
+// daemon, then
 // checks the stream contract: one response line per request, every line parses as
 // schema tofu.serve.v1, each ok response's embedded plan replays through
 // ValidatePlanForGraph against a freshly built graph, the duplicate is served without
@@ -77,6 +78,10 @@ int main(int argc, char** argv) {
   const std::string bytes_overflow_line =
       "{\"id\":8,\"model\":\"mlp\",\"workers\":8,"
       "\"config\":{\"layer_sizes\":[4294967296,4294967296]}}";
+  // A fractional entry in an integer array: rejected by name, not a daemon abort.
+  const std::string fractional_line =
+      "{\"id\":9,\"model\":\"mlp\",\"workers\":4,"
+      "\"config\":{\"layer_sizes\":[784.5,10]}}";
   // A budget no pure plan can meet on this narrow graph (its liveness floor is 192
   // bytes per worker at 32 workers) -- the hybrid search must answer with a
   // multi-stage pipeline plan (tests/test_pipeline.cc pins the stage goldens).
@@ -88,7 +93,7 @@ int main(int argc, char** argv) {
   const std::string requests = mlp_line + "\n" + mlp_dup_line + "\n" + rnn_line +
                                "\n" + bad_model_line + "\n" + malformed_line + "\n" +
                                hybrid_line + "\n" + workers_overflow_line + "\n" +
-                               bytes_overflow_line + "\n";
+                               bytes_overflow_line + "\n" + fractional_line + "\n";
   Check(tofu::WriteTextFile("pland_smoke_requests.jsonl", requests),
         "cannot write request file");
 
@@ -105,11 +110,12 @@ int main(int argc, char** argv) {
       tofu::ReadTextFile("pland_smoke_responses.jsonl");
   Check(responses.ok(), "cannot read response file");
   const std::vector<std::string> lines = SplitLines(*responses);
-  Check(lines.size() == 8,
-        "expected 8 response lines, got " + std::to_string(lines.size()));
+  Check(lines.size() == 9,
+        "expected 9 response lines, got " + std::to_string(lines.size()));
 
   int cached_or_coalesced = 0;
   int workers_rejected = 0;
+  int fraction_rejected = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     tofu::Result<tofu::JsonValue> doc = tofu::ParseJson(lines[i]);
     Check(doc.ok(), "response line " + std::to_string(i) + " is not valid JSON: " +
@@ -188,11 +194,17 @@ int main(int argc, char** argv) {
                 " should be INVALID_ARGUMENT, got line: " + lines[i]);
     } else if (*id == -1) {
       // Lines the request parser rejects carry no id: the unknown model, the malformed
-      // line, and the out-of-range worker count.
+      // line, the out-of-range worker count, and the fractional layer size.
       Check(!*ok_field, "rejected line unexpectedly succeeded: " + lines[i]);
       tofu::Result<std::string> error = doc->StringAt("error");
       if (error.ok() && error->find("'workers' out of int range") != std::string::npos) {
         ++workers_rejected;
+      }
+      if (error.ok() && error->find("'layer_sizes'") != std::string::npos) {
+        tofu::Result<std::string> code = doc->StringAt("code");
+        Check(code.ok() && *code == "INVALID_ARGUMENT",
+              "the fractional layer size should be INVALID_ARGUMENT: " + lines[i]);
+        ++fraction_rejected;
       }
     } else {
       Fail("unexpected response id " + std::to_string(*id));
@@ -203,6 +215,7 @@ int main(int argc, char** argv) {
   Check(cached_or_coalesced >= 1,
         "duplicate request was answered by a second search");
   Check(workers_rejected == 1, "the out-of-range worker count was not rejected");
+  Check(fraction_rejected == 1, "the fractional layer size was not rejected");
 
   // Second run: --algo=Hybrid must route a request that omits "algorithm" through the
   // hybrid search (same budget-constrained spec, no algorithm field, same pipeline).
@@ -234,6 +247,6 @@ int main(int argc, char** argv) {
             tofu::JsonToString(*algo_plan).find("tofu.plan.v3") != std::string::npos,
         "--algo=Hybrid response does not carry a v3 pipeline plan");
 
-  std::printf("pland_smoke: OK (9 responses validated)\n");
+  std::printf("pland_smoke: OK (10 responses validated)\n");
   return 0;
 }
