@@ -412,26 +412,23 @@ Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& reques
 
   // Topology-weighted step times. Recursion-based plans already carry them (the search
   // used them to pick the factor ordering); greedy baselines get them computed here from
-  // the same weighted costs. Hybrid plans carry their aggregate figure (intra-stage
-  // comm plus every boundary transfer) but no top-level steps.
+  // the same weighted costs, which every builder fills (StepFold::Append). Hybrid plans
+  // carry their aggregate figure (intra-stage comm plus every boundary transfer) but no
+  // top-level steps.
   if (plan.pipeline != nullptr) {
     response.estimated_comm_seconds = plan.estimated_comm_seconds;
   } else if (plan.step_seconds.size() == plan.steps.size() && !plan.steps.empty()) {
     response.step_seconds = plan.step_seconds;
     response.estimated_comm_seconds = plan.estimated_comm_seconds;
   } else {
-    double groups = 1.0;
     for (size_t i = 0; i < plan.steps.size(); ++i) {
-      const double weighted = i < plan.weighted_step_costs.size()
-                                  ? plan.weighted_step_costs[i]
-                                  : groups * plan.steps[i].comm_bytes;
       // Same effective bandwidths the recursion-based algorithms searched under, so
       // cross-algorithm time comparisons on one request are apples-to-apples.
-      const double seconds = weighted / LevelBandwidth(options.step_bandwidths,
-                                                       topology_.uniform_bandwidth, i);
+      const double seconds =
+          plan.weighted_step_costs[i] /
+          LevelBandwidth(options.step_bandwidths, topology_.uniform_bandwidth, i);
       response.step_seconds.push_back(seconds);
       response.estimated_comm_seconds += seconds;
-      groups *= static_cast<double>(plan.steps[i].ways);
     }
   }
   // With a concrete interconnect the analytic estimate above is a bound, not a

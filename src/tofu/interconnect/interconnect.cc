@@ -20,16 +20,6 @@ double TrafficMatrix::Total() const {
   return total;
 }
 
-const char* CollectiveName(CollectiveAlgorithm algorithm) {
-  switch (algorithm) {
-    case CollectiveAlgorithm::kRingAllReduce:
-      return "ring";
-    case CollectiveAlgorithm::kHalvingDoubling:
-      return "halving-doubling";
-  }
-  return "?";
-}
-
 Interconnect::Interconnect(std::string name, std::string fingerprint, int num_workers,
                            Links links, std::vector<std::vector<int>> routes)
     : name_(std::move(name)),
@@ -108,83 +98,6 @@ double Interconnect::TransferSeconds(const TrafficMatrix& traffic) const {
 
 double Interconnect::BandwidthSeconds(const TrafficMatrix& traffic) const {
   return CriticalPathSeconds(*this, traffic, /*with_latency=*/false);
-}
-
-std::vector<TrafficMatrix> Interconnect::AllReduceRounds(
-    double bytes, CollectiveAlgorithm algorithm) const {
-  const int n = num_workers_;
-  std::vector<TrafficMatrix> rounds;
-  if (n < 2 || bytes <= 0.0) {
-    return rounds;
-  }
-  if (algorithm == CollectiveAlgorithm::kRingAllReduce) {
-    // Reduce-scatter then allgather: 2(n-1) rounds, every worker forwarding one
-    // bytes/n segment to its successor each round.
-    TrafficMatrix round(n);
-    for (int i = 0; i < n; ++i) {
-      round.At(i, (i + 1) % n) = bytes / static_cast<double>(n);
-    }
-    rounds.assign(static_cast<size_t>(2 * (n - 1)), round);
-    return rounds;
-  }
-  // Halving-doubling. n' = largest power of two <= n; the e = n - n' excess workers
-  // first fold their whole vector into a partner (full payload), sit out the exchange
-  // phase, and receive the finished result back at the end (Rabenseifner's accounting:
-  // non-power-of-two counts pay two extra full-vector rounds -- why ring can win there).
-  int pow2 = 1;
-  while (pow2 * 2 <= n) {
-    pow2 *= 2;
-  }
-  const int excess = n - pow2;
-  if (excess > 0) {
-    TrafficMatrix fold(n);
-    for (int i = pow2; i < n; ++i) {
-      fold.At(i, i - pow2) = bytes;
-    }
-    rounds.push_back(fold);
-  }
-  // Reduce-scatter by recursive halving: distance n'/2 down to 1, payload halving from
-  // bytes/2; the allgather mirror doubles back up. Emitted as halving then doubling so
-  // the round order matches the textbook schedule.
-  for (int distance = pow2 / 2, payload_div = 2; distance >= 1;
-       distance /= 2, payload_div *= 2) {
-    TrafficMatrix round(n);
-    for (int i = 0; i < pow2; ++i) {
-      round.At(i, i ^ distance) = bytes / static_cast<double>(payload_div);
-    }
-    rounds.push_back(round);
-  }
-  for (int distance = 1, payload_div = pow2; distance < pow2;
-       distance *= 2, payload_div /= 2) {
-    TrafficMatrix round(n);
-    for (int i = 0; i < pow2; ++i) {
-      round.At(i, i ^ distance) = bytes / static_cast<double>(payload_div);
-    }
-    rounds.push_back(round);
-  }
-  if (excess > 0) {
-    TrafficMatrix unfold(n);
-    for (int i = pow2; i < n; ++i) {
-      unfold.At(i - pow2, i) = bytes;
-    }
-    rounds.push_back(unfold);
-  }
-  return rounds;
-}
-
-double Interconnect::AllReduceSeconds(double bytes, CollectiveAlgorithm algorithm) const {
-  double total = 0.0;
-  for (const TrafficMatrix& round : AllReduceRounds(bytes, algorithm)) {
-    total += TransferSeconds(round);
-  }
-  return total;
-}
-
-CollectiveAlgorithm Interconnect::PickAllReduce(double bytes) const {
-  const double ring = AllReduceSeconds(bytes, CollectiveAlgorithm::kRingAllReduce);
-  const double hd = AllReduceSeconds(bytes, CollectiveAlgorithm::kHalvingDoubling);
-  return hd < ring ? CollectiveAlgorithm::kHalvingDoubling
-                   : CollectiveAlgorithm::kRingAllReduce;
 }
 
 TrafficMatrix Interconnect::StepTraffic(const std::vector<int>& factors, size_t step,

@@ -14,11 +14,7 @@
 //     narrowest link on its path, plus per-hop latency). This is a true lower bound on
 //     any schedule, and the event simulator's link-level queueing
 //     (interconnect/sim_bridge.h) validates it is also *achievable* within a small
-//     constant -- the differential harness in tests/test_interconnect_diff.cc;
-//   * collectives are priced as round schedules: each round is itself a traffic matrix,
-//     so ring vs halving-doubling allreduce automatically inherit the contention model
-//     (a halving-doubling round whose pairs all cross one oversubscribed uplink
-//     serializes on it; a ring round stays nearest-neighbour).
+//     constant -- the differential harness in tests/test_interconnect_diff.cc.
 //
 // The search consumes this through StepBandwidths(): the effective bytes/s one
 // recursive partition step experiences, computed by pricing the step's group-local
@@ -59,14 +55,6 @@ struct TrafficMatrix {
   double Total() const;
 };
 
-enum class CollectiveAlgorithm {
-  kRingAllReduce,     // 2(n-1) nearest-neighbour rounds of bytes/n each
-  kHalvingDoubling,   // 2 log2(n') exchange rounds, payload halving; non-power-of-two
-                      // worker counts pay a full-vector fold-in/fold-out pre/post round
-};
-
-const char* CollectiveName(CollectiveAlgorithm algorithm);
-
 // A concrete interconnect: workers, directed links, one fixed route per worker pair.
 // Instances are immutable and shared (DeviceTopology holds a shared_ptr); build them
 // with the factories below. All costing is data-driven off the link graph, so the
@@ -95,17 +83,6 @@ class Interconnect {
   // effective bandwidth (bytes / seconds) payload-independent. What StepBandwidths
   // inverts.
   double BandwidthSeconds(const TrafficMatrix& traffic) const;
-
-  // The round schedule of an allreduce over all workers (`bytes` per worker), as
-  // traffic matrices. Exposed so the differential harness can replay the exact same
-  // rounds through the event simulator.
-  std::vector<TrafficMatrix> AllReduceRounds(double bytes,
-                                             CollectiveAlgorithm algorithm) const;
-  // Sum of TransferSeconds over the rounds: the alpha-beta collective cost with this
-  // topology's contention folded in.
-  double AllReduceSeconds(double bytes, CollectiveAlgorithm algorithm) const;
-  // The cheaper algorithm at this payload (ties prefer ring, the paper-era default).
-  CollectiveAlgorithm PickAllReduce(double bytes) const;
 
   // Effective bytes/s for each recursive partition step of `factors` (canonical order,
   // product == num_workers): step i splits each of the prod(factors[0..i)) contiguous

@@ -23,7 +23,7 @@ SimGraph EmptyTrafficGraph(const Interconnect& net) {
   return graph;
 }
 
-// Zero-duration joint node depending on `deps`; rounds/steps serialize through these.
+// Zero-duration joint node depending on `deps`; steps serialize through these.
 std::int32_t AddBarrier(SimGraph* graph, std::vector<std::int32_t> deps) {
   SimNode barrier;
   barrier.kind = SimNode::Kind::kCompute;
@@ -132,30 +132,14 @@ double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic)
   return Makespan(graph);
 }
 
-double SimAllReduceSeconds(const Interconnect& net, double bytes,
-                           CollectiveAlgorithm algorithm) {
-  SimGraph graph = EmptyTrafficGraph(net);
-  std::int32_t barrier = -1;
-  for (const TrafficMatrix& round : net.AllReduceRounds(bytes, algorithm)) {
-    std::vector<std::int32_t> deliveries =
-        AppendTrafficToSim(net, round, barrier, &graph);
-    if (!deliveries.empty()) {
-      barrier = AddBarrier(&graph, std::move(deliveries));
-    }
-  }
-  if (graph.nodes.empty()) {
-    return 0.0;
-  }
-  return Makespan(graph);
-}
-
 double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan) {
   if (plan.steps.empty()) {
     return 0.0;
   }
   // Per-step factors come from the steps themselves (every built-in algorithm's
-  // composition multiplies out to num_workers); weighted bytes mirror the session's
-  // reporting rule for plans whose search did not fill weighted_step_costs.
+  // composition multiplies out to num_workers); weighted bytes are the ones every
+  // builder records per step (StepFold::Append).
+  TOFU_CHECK_EQ(plan.weighted_step_costs.size(), plan.steps.size());
   std::vector<int> factors;
   factors.reserve(plan.steps.size());
   for (const BasicPlan& step : plan.steps) {
@@ -163,12 +147,8 @@ double SimPlanCommSeconds(const Interconnect& net, const PartitionPlan& plan) {
   }
   SimGraph graph = EmptyTrafficGraph(net);
   std::int32_t barrier = -1;
-  double groups = 1.0;
   for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const double weighted = i < plan.weighted_step_costs.size()
-                                ? plan.weighted_step_costs[i]
-                                : groups * plan.steps[i].comm_bytes;
-    groups *= static_cast<double>(plan.steps[i].ways);
+    const double weighted = plan.weighted_step_costs[i];
     if (weighted <= 0.0) {
       continue;
     }

@@ -29,11 +29,6 @@ std::vector<std::int32_t> AppendTrafficToSim(const Interconnect& net,
 // counterpart of Interconnect::TransferSeconds.
 double SimTransferSeconds(const Interconnect& net, const TrafficMatrix& traffic);
 
-// The collective's round schedule (Interconnect::AllReduceRounds) with a barrier
-// between rounds: the simulated counterpart of Interconnect::AllReduceSeconds.
-double SimAllReduceSeconds(const Interconnect& net, double bytes,
-                           CollectiveAlgorithm algorithm);
-
 // Simulated critical-path time of a plan's communication: each step's weighted bytes
 // spread over the same group-local all-to-all pattern the analytic step estimate
 // prices (Interconnect::StepTraffic), steps separated by barriers (a step's shuffles

@@ -375,29 +375,14 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
   // touched slots are (re)written before each evaluation, and only they are read.
   std::vector<int> slot_opt(static_cast<size_t>(num_slots), 0);
 
-  // Group cost at one combination of its touched slots' cut options. Invoked once per
-  // combination while the engine fills the group's dense cost table. Element-wise riders
+  // Group table fill: one call per group table. Walks the engine's canonical
+  // enumeration with an odometer over the counts of the space being filled (a capped
+  // search keeps each slot's lowest-index cut options), so only the options that
+  // actually change between consecutive cells are rewritten. Element-wise riders
   // contribute nothing: their tensors share one slot, hence one cut, hence zero
   // re-partition traffic by construction.
-  SearchEngine::GroupCostFn cost_fn = [&](int g, const int* opts) {
-    const MacroGroup& group = coarse.groups[static_cast<size_t>(g)];
-    for (size_t i = 0; i < group.touched_slots.size(); ++i) {
-      slot_opt[static_cast<size_t>(group.touched_slots[i])] = opts[i];
-    }
-    double group_cost = 0.0;
-    for (int u : group.units) {
-      group_cost +=
-          dp_internal::UnitCost((*unit_evals)[static_cast<size_t>(u)], slot_opt, nullptr);
-    }
-    return group_cost;
-  };
-
-  // Bulk table fill: one call per group table instead of one per cell. Walks the
-  // engine's canonical enumeration with an odometer, so only the options that actually
-  // change between consecutive cells are rewritten -- this plus skipping the per-cell
-  // std::function dispatch is worth ~2x on fill-bound searches, while producing the
-  // exact sequence of values cost_fn would (same evaluator, same order).
-  SearchEngine::GroupFillFn fill_fn = [&](int g, double* cells, std::int64_t num_cells) {
+  SearchEngine::GroupFillFn fill_fn = [&](int g, const std::vector<int>& num_options,
+                                          double* cells, std::int64_t num_cells) {
     const MacroGroup& group = coarse.groups[static_cast<size_t>(g)];
     const std::vector<int>& touched = group.touched_slots;
     const int k = static_cast<int>(touched.size());
@@ -416,8 +401,7 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
       }
       for (int i = k - 1; i >= 0; --i) {
         const int s = touched[static_cast<size_t>(i)];
-        if (++slot_opt[static_cast<size_t>(s)] <
-            static_cast<int>(slot_options[static_cast<size_t>(s)]->size())) {
+        if (++slot_opt[static_cast<size_t>(s)] < num_options[static_cast<size_t>(i)]) {
           break;
         }
         slot_opt[static_cast<size_t>(s)] = 0;
@@ -434,7 +418,7 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
     engine_options.reuse_tables = cached->tables;
   }
   SearchEngine engine(std::move(space), engine_options);
-  SearchEngine::Result search = engine.Run(cost_fn, fill_fn);
+  SearchEngine::Result search = engine.Run(fill_fn);
 
   // Publish the compilation on a miss. Every search that runs exports all of its
   // tables, so a hit has nothing to add.

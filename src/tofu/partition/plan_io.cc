@@ -515,6 +515,13 @@ Status ValidatePlan(const Graph& graph, const PartitionPlan& plan,
                   StrFormat("plan has %zu steps but %zu step_factors", plan.steps.size(),
                             plan.step_factors.size()));
   }
+  // Session and the sim bridge price each step by its weighted cost, so a plan without
+  // one per step must not reach them (every builder records it: StepFold::Append).
+  if (plan.weighted_step_costs.size() != plan.steps.size()) {
+    return Status(StatusCode::kInvalidArgument,
+                  StrFormat("plan has %zu steps but %zu weighted_step_costs",
+                            plan.steps.size(), plan.weighted_step_costs.size()));
+  }
   std::int64_t product = 1;
   for (size_t i = 0; i < plan.step_factors.size(); ++i) {
     if (plan.step_factors[i] < 2) {

@@ -124,29 +124,26 @@ struct SearchEngine::Impl {
     return capped;
   }
 
-  Result RunImpl(const GroupCostFn* table_fn, const GroupFillFn* fill_fn,
-                 const StateCostFn* stream_fn) {
+  Result RunImpl(const GroupFillFn* fill_fn, const StateCostFn* stream_fn) {
     if (max_static_width <= options.max_states) {
-      return Sweep(space, table_fn, fill_fn, stream_fn, options.reuse_tables.get());
+      return Sweep(space, fill_fn, stream_fn, options.reuse_tables.get());
     }
     TOFU_LOG(Warning) << "search frontier of " << max_static_width << " states exceeds "
                       << options.max_states
                       << "; searching a capped option subset (plan approximate)";
-    // The capped space has smaller option counts than the fill callback's contract and
-    // any cached tables cover, so cells come from cost_fn and no tables are exported.
-    Result result = Sweep(CappedSpace(), table_fn, nullptr, stream_fn, nullptr);
+    // The capped space has smaller option counts than any cached tables cover, so its
+    // tables are filled fresh (at the capped counts) and none are exported.
+    Result result = Sweep(CappedSpace(), fill_fn, stream_fn, nullptr);
     result.tables = nullptr;
     result.stats.exact = false;
     return result;
   }
 
-  Result Sweep(const SearchSpace& sp, const GroupCostFn* table_fn,
-               const GroupFillFn* fill_fn, const StateCostFn* stream_fn,
-               const GroupCostTables* reuse);
+  Result Sweep(const SearchSpace& sp, const GroupFillFn* fill_fn,
+               const StateCostFn* stream_fn, const GroupCostTables* reuse);
   std::shared_ptr<GroupCostTables> FillOrImportAllTables(
-      const SearchSpace& sp, const GroupCostFn& table_fn, const GroupFillFn* fill_fn,
-      const GroupCostTables* reuse, std::vector<std::vector<std::int64_t>>* strides,
-      Result* result);
+      const SearchSpace& sp, const GroupFillFn& fill_fn, const GroupCostTables* reuse,
+      std::vector<std::vector<std::int64_t>>* strides, Result* result);
 };
 
 SearchEngine::SearchEngine(SearchSpace space, SearchEngineOptions options)
@@ -154,17 +151,12 @@ SearchEngine::SearchEngine(SearchSpace space, SearchEngineOptions options)
 
 SearchEngine::~SearchEngine() = default;
 
-SearchEngine::Result SearchEngine::Run(const GroupCostFn& cost_fn) {
-  return impl_->RunImpl(&cost_fn, nullptr, nullptr);
-}
-
-SearchEngine::Result SearchEngine::Run(const GroupCostFn& cost_fn,
-                                       const GroupFillFn& fill_fn) {
-  return impl_->RunImpl(&cost_fn, &fill_fn, nullptr);
+SearchEngine::Result SearchEngine::Run(const GroupFillFn& fill_fn) {
+  return impl_->RunImpl(&fill_fn, nullptr);
 }
 
 SearchEngine::Result SearchEngine::RunStreamed(const StateCostFn& cost_fn) {
-  return impl_->RunImpl(nullptr, nullptr, &cost_fn);
+  return impl_->RunImpl(nullptr, &cost_fn);
 }
 
 // Hoisted table fills: every group's dense cost table is computed (or imported from
@@ -172,24 +164,26 @@ SearchEngine::Result SearchEngine::RunStreamed(const StateCostFn& cost_fn) {
 // touched slot fastest). Hoisting is what enables dominated-option pruning (the
 // analysis needs every table touching a slot) and table reuse across searches.
 std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
-    const SearchSpace& sp, const GroupCostFn& table_fn, const GroupFillFn* fill_fn,
-    const GroupCostTables* reuse, std::vector<std::vector<std::int64_t>>* strides,
-    Result* result) {
+    const SearchSpace& sp, const GroupFillFn& fill_fn, const GroupCostTables* reuse,
+    std::vector<std::vector<std::int64_t>>* strides, Result* result) {
   const auto t0 = Clock::now();
   const int num_groups = static_cast<int>(sp.group_slots.size());
   auto tables = std::make_shared<GroupCostTables>();
   tables->groups.resize(static_cast<size_t>(num_groups));
   strides->resize(static_cast<size_t>(num_groups));
-  std::vector<int> opts_buffer;
+  std::vector<int> num_options;
   for (int g = 0; g < num_groups; ++g) {
     const std::vector<int>& touched = sp.group_slots[static_cast<size_t>(g)];
     const int k = static_cast<int>(touched.size());
     std::vector<std::int64_t>& stride = (*strides)[static_cast<size_t>(g)];
     stride.assign(static_cast<size_t>(k), 1);
+    num_options.resize(static_cast<size_t>(k));
     std::int64_t cells = 1;
     for (int i = k - 1; i >= 0; --i) {
       stride[static_cast<size_t>(i)] = cells;
-      cells *= sp.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])];
+      num_options[static_cast<size_t>(i)] =
+          sp.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])];
+      cells *= num_options[static_cast<size_t>(i)];
     }
     if (reuse != nullptr && static_cast<size_t>(g) < reuse->groups.size() &&
         reuse->groups[static_cast<size_t>(g)] != nullptr &&
@@ -198,21 +192,7 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
       result->stats.reused_table_entries += cells;
     } else {
       auto fresh = std::make_shared<std::vector<double>>(static_cast<size_t>(cells));
-      if (fill_fn != nullptr) {
-        (*fill_fn)(g, fresh->data(), cells);
-      } else {
-        opts_buffer.assign(static_cast<size_t>(k), 0);
-        for (std::int64_t idx = 0; idx < cells; ++idx) {
-          (*fresh)[static_cast<size_t>(idx)] = table_fn(g, opts_buffer.data());
-          for (int i = k - 1; i >= 0; --i) {  // odometer: same order as the idx decode
-            if (++opts_buffer[static_cast<size_t>(i)] <
-                sp.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])]) {
-              break;
-            }
-            opts_buffer[static_cast<size_t>(i)] = 0;
-          }
-        }
-      }
+      fill_fn(g, num_options, fresh->data(), cells);
       tables->groups[static_cast<size_t>(g)] = std::move(fresh);
     }
     // Imported cells count exactly like computed ones: these counters are a property
@@ -233,7 +213,6 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
 // When several slots leave at one group the NEWEST axis is projected first.
 // docs/search.md ("Equal-cost tie-breaking") spells out the resulting rule.
 SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
-                                               const GroupCostFn* table_fn,
                                                const GroupFillFn* fill_fn,
                                                const StateCostFn* stream_fn,
                                                const GroupCostTables* reuse) {
@@ -280,8 +259,8 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
 
   std::vector<std::vector<std::int64_t>> group_stride;
   std::shared_ptr<GroupCostTables> tables;
-  if (table_fn != nullptr) {
-    tables = FillOrImportAllTables(sp, *table_fn, fill_fn, reuse, &group_stride, &result);
+  if (fill_fn != nullptr) {
+    tables = FillOrImportAllTables(sp, *fill_fn, reuse, &group_stride, &result);
   }
 
   // Dominated-option pruning (unbudgeted table mode). Option o of slot s is dominated

@@ -65,8 +65,8 @@ struct SearchEngineOptions {
   // Safety cap on simultaneous DP states (frontier blow-up on non-chain graphs). When
   // the schedule's frontier width exceeds it, each entering slot (in schedule order)
   // keeps only its lowest-index max(1, max_states / width) options, width being the
-  // capped frontier it enters; the search runs on that subset with cost_fn fills, no
-  // table import or export, and SearchStats::exact false.
+  // capped frontier it enters; the search fills its tables at the subset's option
+  // counts, imports and exports none, and reports SearchStats::exact false.
   std::int64_t max_states = 1 << 22;
   // Threads for state expansion (branch/charge/project sharding). 0 (the default)
   // auto-sizes from std::thread::hardware_concurrency(); 1 = serial. Any value yields
@@ -99,26 +99,21 @@ struct SearchEngineOptions {
 
 class SearchEngine {
  public:
-  // Table mode: called once per combination of group `g`'s touched-slot options while
-  // precomputing the group's cost table. `options[i]` is the option index of
-  // SearchSpace::group_slots[g][i].
-  using GroupCostFn = std::function<double(int group, const int* options)>;
+  // Table mode: writes group `g`'s whole dense cost table (`num_cells` doubles) in the
+  // engine's canonical mixed-radix enumeration order -- combination (o_0,...,o_{k-1})
+  // of SearchSpace::group_slots[g] at index sum(o_i * stride_i), last touched slot
+  // fastest (stride 1). `num_options[i]` is the option count of group_slots[g][i] in
+  // the space being filled: the full count, or a capped search's lowest-index prefix
+  // of it (SearchEngineOptions::max_states), so option i names the same choice in both
+  // and the cell values never depend on which one is filled.
+  using GroupFillFn = std::function<void(int group, const std::vector<int>& num_options,
+                                         double* cells, std::int64_t num_cells)>;
 
   // Streamed mode: called once per (group, live lattice cell), serially in lattice
   // index order -- preserving searches whose measured cost is intentionally per-state,
   // like the flat DP's joint enumeration. Returns false to abort the whole search
   // (deadline exceeded).
   using StateCostFn = std::function<bool(int group, const int* options, double* cost)>;
-
-  // Optional bulk table fill: writes group `g`'s whole dense cost table (`num_cells`
-  // doubles) in the engine's canonical mixed-radix enumeration order -- combination
-  // (o_0,...,o_{k-1}) of SearchSpace::group_slots[g] at index sum(o_i * stride_i),
-  // last touched slot fastest (stride 1). MUST produce exactly the values cell-by-cell
-  // calls of the GroupCostFn would; it exists purely so a caller can hoist per-cell
-  // dispatch out of the hottest loop of the search (one function call per table
-  // instead of one per cell). Capped searches (SearchEngineOptions::max_states) fill
-  // from the GroupCostFn instead, since their option counts differ from the space's.
-  using GroupFillFn = std::function<void(int group, double* cells, std::int64_t num_cells)>;
 
   struct Result {
     bool completed = true;          // false only when a streamed search aborted
@@ -146,9 +141,7 @@ class SearchEngine {
   SearchEngine(SearchSpace space, SearchEngineOptions options);
   ~SearchEngine();
 
-  Result Run(const GroupCostFn& cost_fn);
-  // As Run, with bulk table fills delegated to `fill_fn` (see GroupFillFn's contract).
-  Result Run(const GroupCostFn& cost_fn, const GroupFillFn& fill_fn);
+  Result Run(const GroupFillFn& fill_fn);
   Result RunStreamed(const StateCostFn& cost_fn);
 
  private:

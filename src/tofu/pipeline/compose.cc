@@ -88,19 +88,27 @@ std::vector<double> StageStepBandwidths(const std::vector<double>& full, int num
 struct Candidate {
   PartitionPlan plan;
   double total_seconds = kInf;
+  // The plan's memory verdict (PlanPeakShardBytes; a pipeline's max stage peak). Only
+  // infeasible candidates compare it, so S = 1 computes it only under a budget.
+  std::int64_t peak_bytes = 0;
   bool feasible = true;
   bool valid = false;
 };
 
-// Prefer feasible over infeasible, then strictly lower estimated total time; ties keep
-// the incumbent (candidates arrive in ascending stage count, so the simplest plan --
-// pure Tofu at S = 1 -- wins ties and the degenerate case stays byte-identical).
+// Prefer feasible over infeasible; among feasible candidates, strictly lower estimated
+// total time, and among infeasible ones strictly lower peak, so a search that cannot
+// fit returns its lightest plan. Ties keep the incumbent (candidates arrive in
+// ascending stage count, so the simplest plan -- pure Tofu at S = 1 -- wins ties and
+// the degenerate case stays byte-identical).
 bool Beats(const Candidate& challenger, const Candidate& incumbent) {
   if (!incumbent.valid) {
     return challenger.valid;
   }
   if (challenger.feasible != incumbent.feasible) {
     return challenger.feasible;
+  }
+  if (!challenger.feasible) {
+    return challenger.peak_bytes < incumbent.peak_bytes;
   }
   return challenger.total_seconds < incumbent.total_seconds;
 }
@@ -170,7 +178,10 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
       if (pure.plan.memory_schedule != nullptr) {
         pure.total_seconds += pure.plan.memory_schedule->AnalyticOverheadSeconds();
       }
-      pure.feasible = budget <= 0 || PlanPeakShardBytes(graph, pure.plan) <= budget;
+      if (budget > 0) {
+        pure.peak_bytes = PlanPeakShardBytes(graph, pure.plan);
+      }
+      pure.feasible = budget <= 0 || pure.peak_bytes <= budget;
       pure.valid = true;
       if (Beats(pure, best)) {
         best = std::move(pure);
@@ -261,7 +272,7 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
     SearchStats merged;
     double total_comm_bytes = 0.0;
     double comm_seconds = 0.0;
-    bool feasible = true;
+    std::int64_t peak_bytes = 0;
     for (int s = 0; s < S; ++s) {
       const int first = ranges[static_cast<size_t>(s)].first;
       const int last = ranges[static_cast<size_t>(s)].second;
@@ -320,9 +331,7 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
       const std::vector<char> mask = StageOpMask(graph, coarse, first, last);
       stage.peak_bytes = PlanPeakShardBytes(graph, stage.plan, mask);
       stage.all_resident_bytes = StageAllResidentShardBytes(graph, stage.plan, mask);
-      if (budget > 0 && stage.peak_bytes > budget) {
-        feasible = false;
-      }
+      peak_bytes = std::max(peak_bytes, stage.peak_bytes);
       pipe->stages.push_back(std::move(stage));
     }
     for (const PipelineStage& stage : pipe->stages) {
@@ -337,11 +346,12 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
     candidate.plan.total_comm_bytes = total_comm_bytes;
     candidate.plan.estimated_comm_seconds = comm_seconds;
     candidate.plan.memory_budget_bytes = budget;
-    candidate.plan.memory_feasible = feasible;
+    candidate.plan.memory_feasible = budget <= 0 || peak_bytes <= budget;
     candidate.plan.search_stats = merged;
     candidate.plan.pipeline = pipe;
     candidate.total_seconds = pipe->pipeline_seconds;
-    candidate.feasible = budget <= 0 || feasible;
+    candidate.peak_bytes = peak_bytes;
+    candidate.feasible = candidate.plan.memory_feasible;
     candidate.valid = true;
     if (Beats(candidate, best)) {
       best = std::move(candidate);

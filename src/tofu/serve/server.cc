@@ -65,6 +65,17 @@ std::string ErrorResponseLine(std::int64_t id, const Status& status,
   return w.str();
 }
 
+// The id a rejected line answers with: its own `id` when the line is a JSON object
+// whose `id` is an integral number within int64, else -1.
+std::int64_t RecoverRequestId(const std::string& line) {
+  Result<JsonValue> doc = ParseJson(line);
+  if (!doc.ok() || !doc->is_object()) {
+    return -1;
+  }
+  Result<std::int64_t> id = doc->IntAt("id");
+  return id.ok() ? *id : -1;
+}
+
 std::string HandleLine(PlanService& service, const std::string& line,
                        bool include_plan, PartitionAlgorithm default_algorithm,
                        MemoryPolicy default_memory_policy, bool* ok_out) {
@@ -73,7 +84,8 @@ std::string HandleLine(PlanService& service, const std::string& line,
       ParseServeRequest(line, default_algorithm, default_memory_policy);
   if (!request.ok()) {
     *ok_out = false;
-    return ErrorResponseLine(-1, request.status(), SecondsSince(start));
+    return ErrorResponseLine(RecoverRequestId(line), request.status(),
+                             SecondsSince(start));
   }
   Result<PartitionResponse> response = service.Partition(*request);
   *ok_out = response.ok();

@@ -1,7 +1,6 @@
-// Interconnect unit tests: routes and closed-form critical-path costs per topology,
-// collective-algorithm selection (ring vs halving-doubling allreduce exactly where the
-// alpha-beta model predicts), and the StepBandwidths values the partition search feeds
-// into PartitionOptions::step_bandwidths.
+// Interconnect unit tests: routes and closed-form critical-path costs per topology, and
+// the StepBandwidths values the partition search feeds into
+// PartitionOptions::step_bandwidths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,119 +107,6 @@ TEST(Interconnect, FingerprintsSeparateTopologiesAndParameters) {
   EXPECT_NE(MakeHierarchy(2, 4, kB, kB)->Fingerprint(),
             MakeHierarchy(4, 2, kB, kB)->Fingerprint());
   EXPECT_EQ(MakeRing(8, kB, kLat)->Fingerprint(), MakeRing(8, kB, kLat)->Fingerprint());
-}
-
-// --------------------------------------------------------------------- collectives
-
-TEST(Interconnect, RingAllReduceRoundsAreNearestNeighbour) {
-  auto net = MakeRing(8, kB, kLat);
-  const double b = 8e6;
-  auto rounds = net->AllReduceRounds(b, CollectiveAlgorithm::kRingAllReduce);
-  ASSERT_EQ(rounds.size(), 14u);  // 2(n-1)
-  for (const TrafficMatrix& round : rounds) {
-    EXPECT_NEAR(round.Total(), b, kTol);  // n segments of b/n
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_NEAR(round.At(i, (i + 1) % 8), b / 8, kTol);
-    }
-  }
-}
-
-TEST(Interconnect, HalvingDoublingRoundsHalvePayloads) {
-  auto net = MakeFullMesh(8, kB, kLat);
-  const double b = 8e6;
-  auto rounds = net->AllReduceRounds(b, CollectiveAlgorithm::kHalvingDoubling);
-  ASSERT_EQ(rounds.size(), 6u);  // 2 log2(8)
-  const double payloads[] = {b / 2, b / 4, b / 8, b / 8, b / 4, b / 2};
-  const int distances[] = {4, 2, 1, 1, 2, 4};
-  for (size_t r = 0; r < rounds.size(); ++r) {
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_NEAR(rounds[r].At(i, i ^ distances[r]), payloads[r], kTol)
-          << "round " << r << " worker " << i;
-    }
-  }
-}
-
-TEST(Interconnect, NonPowerOfTwoPaysFullVectorFoldRounds) {
-  auto net = MakeFullMesh(6, kB, kLat);
-  const double b = 4e6;
-  auto rounds = net->AllReduceRounds(b, CollectiveAlgorithm::kHalvingDoubling);
-  // fold + 2 log2(4) exchanges + unfold.
-  ASSERT_EQ(rounds.size(), 6u);
-  EXPECT_NEAR(rounds.front().At(4, 0), b, kTol);
-  EXPECT_NEAR(rounds.front().At(5, 1), b, kTol);
-  EXPECT_NEAR(rounds.back().At(0, 4), b, kTol);
-  EXPECT_NEAR(rounds.back().At(1, 5), b, kTol);
-}
-
-TEST(Interconnect, MeshAllReduceMatchesAlphaBetaClosedForm) {
-  auto net = MakeFullMesh(8, kB, kLat);
-  const double b = 8e6;
-  // Every ring round is a contention-free matching: (b/8)/B + 2 hops; 14 rounds.
-  EXPECT_NEAR(net->AllReduceSeconds(b, CollectiveAlgorithm::kRingAllReduce),
-              14 * ((b / 8) / kB + 2 * kLat), 1e-9);
-  // HD: payload halves each exchange; same 1.75 b/B serial bytes, 12 vs 28 latencies.
-  EXPECT_NEAR(net->AllReduceSeconds(b, CollectiveAlgorithm::kHalvingDoubling),
-              1.75 * b / kB + 12 * kLat, 1e-9);
-}
-
-TEST(Interconnect, HalvingDoublingWinsOnPowerOfTwoMesh) {
-  // Same serial bytes, fewer rounds: HD is strictly cheaper at every payload when no
-  // link is shared and n is a power of two.
-  auto net = MakeFullMesh(8, kB, kLat);
-  for (double b : {1e3, 1e6, 1e9}) {
-    EXPECT_LT(net->AllReduceSeconds(b, CollectiveAlgorithm::kHalvingDoubling),
-              net->AllReduceSeconds(b, CollectiveAlgorithm::kRingAllReduce));
-    EXPECT_EQ(net->PickAllReduce(b), CollectiveAlgorithm::kHalvingDoubling);
-  }
-}
-
-TEST(Interconnect, RingWinsLargePayloadsOnRingTopology) {
-  // HD's distance-4 exchanges route every flow across half the ring: each link carries
-  // four b/2 payloads, so one such round already costs 2b/B -- more than the whole
-  // nearest-neighbour ring schedule (1.75 b/B).
-  auto net = MakeRing(8, kB, kLat);
-  const double b = 64e6;
-  EXPECT_LT(net->AllReduceSeconds(b, CollectiveAlgorithm::kRingAllReduce),
-            net->AllReduceSeconds(b, CollectiveAlgorithm::kHalvingDoubling));
-  EXPECT_EQ(net->PickAllReduce(b), CollectiveAlgorithm::kRingAllReduce);
-}
-
-TEST(Interconnect, NonPowerOfTwoCrossoverOnMesh) {
-  // n = 6: HD pays two full-vector fold rounds (3.5 b/B serial bytes vs ring's 1.67)
-  // but only 12 latencies vs ring's 20 -- so HD wins small payloads, ring wins large.
-  auto net = MakeFullMesh(6, kB, kLat);
-  EXPECT_EQ(net->PickAllReduce(1e2), CollectiveAlgorithm::kHalvingDoubling);
-  EXPECT_EQ(net->PickAllReduce(64e6), CollectiveAlgorithm::kRingAllReduce);
-}
-
-TEST(Interconnect, SharedUplinkContentionFavorsRingAtLargePayloads) {
-  // Oversubscribed hierarchy: HD's long-distance rounds push every worker's payload
-  // through the two uplinks at once (2b per uplink per round); the ring schedule sends
-  // one b/8 segment across each uplink per round. Ring wins once bytes dominate.
-  auto net = MakeHierarchy(2, 4, kB, kB / 4, kLat);
-  const double big = 64e6;
-  EXPECT_LT(net->AllReduceSeconds(big, CollectiveAlgorithm::kRingAllReduce),
-            net->AllReduceSeconds(big, CollectiveAlgorithm::kHalvingDoubling));
-  EXPECT_EQ(net->PickAllReduce(big), CollectiveAlgorithm::kRingAllReduce);
-  // At tiny payloads the fewer (6 vs 14) rounds still win despite the uplink.
-  EXPECT_EQ(net->PickAllReduce(1e2), CollectiveAlgorithm::kHalvingDoubling);
-}
-
-TEST(Interconnect, PickAllReduceIsTheArgmin) {
-  auto topologies = {MakeRing(8, kB, kLat), MakeFullMesh(8, kB, kLat),
-                     MakeFullMesh(6, kB, kLat), MakeHierarchy(2, 4, kB, kB / 4, kLat)};
-  for (const auto& net : topologies) {
-    for (double b : {1e2, 1e4, 1e6, 1e8}) {
-      const double ring = net->AllReduceSeconds(b, CollectiveAlgorithm::kRingAllReduce);
-      const double hd = net->AllReduceSeconds(b, CollectiveAlgorithm::kHalvingDoubling);
-      const CollectiveAlgorithm pick = net->PickAllReduce(b);
-      if (hd < ring) {
-        EXPECT_EQ(pick, CollectiveAlgorithm::kHalvingDoubling);
-      } else {
-        EXPECT_EQ(pick, CollectiveAlgorithm::kRingAllReduce);  // ties prefer ring
-      }
-    }
-  }
 }
 
 // ------------------------------------------------------------------ step bandwidths

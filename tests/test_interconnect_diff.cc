@@ -1,6 +1,6 @@
 // Differential harness: every analytic Interconnect cost is cross-checked against the
 // event simulator's link-level queueing (interconnect/sim_bridge.h) on seeded random
-// traffic matrices, collective round schedules, and whole partition plans.
+// traffic matrices and whole partition plans.
 //
 // The contract, asserted on every sample:
 //
@@ -170,22 +170,6 @@ TEST(InterconnectDiff, RelativeOrderingAgreesWhenWellSeparated) {
   }
 }
 
-TEST(InterconnectDiff, CollectiveRoundSchedulesBracketTheSim) {
-  // Both allreduce algorithms, latency-bound and bandwidth-bound payloads: the sum of
-  // per-round analytic bounds must bracket the barrier-synchronized simulation.
-  for (const NamedNet& t : Topologies()) {
-    for (CollectiveAlgorithm algo : {CollectiveAlgorithm::kRingAllReduce,
-                                     CollectiveAlgorithm::kHalvingDoubling}) {
-      for (double bytes : {32e3, 64e6}) {
-        ExpectBracketed(
-            t.label + "/" + CollectiveName(algo) + "@" + std::to_string(bytes),
-            t.net->AllReduceSeconds(bytes, algo),
-            SimAllReduceSeconds(*t.net, bytes, algo));
-      }
-    }
-  }
-}
-
 // Analytic counterpart of SimPlanCommSeconds: identical factors, weighted bytes, and
 // StepTraffic pattern -- only the pricing differs (closed-form bound vs. simulated
 // schedule), so a gap between the two is purely a model-vs-schedule gap.
@@ -196,12 +180,8 @@ double AnalyticPlanCommSeconds(const Interconnect& net, const PartitionPlan& pla
     factors.push_back(step.ways);
   }
   double total = 0.0;
-  double groups = 1.0;
   for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const double weighted = i < plan.weighted_step_costs.size()
-                                ? plan.weighted_step_costs[i]
-                                : groups * plan.steps[i].comm_bytes;
-    groups *= static_cast<double>(plan.steps[i].ways);
+    const double weighted = plan.weighted_step_costs[i];
     if (weighted > 0.0) {
       total += net.TransferSeconds(net.StepTraffic(factors, i, weighted));
     }

@@ -369,38 +369,79 @@ TEST(SessionHybrid, RepairableBudgetReturnsTheTofuPlan) {
   }
 }
 
-TEST(HybridPartition, BudgetedPlansRoundTripWithPureStages) {
+// Without offloading no candidate fits these budgets; the search then returns its
+// lightest candidate -- the S = 1 lightest-cuts witness at 16,384,396 B, not a
+// pipeline whose stages peak at 20-33 MiB -- so the session quotes the true floor of
+// what it searched, with the pure plan's swap/recompute floor note.
+TEST(SessionHybrid, InfeasibleBudgetQuotesTheLightestCandidate) {
   ModelGraph model = Transformer4();
+  Session session(DeviceTopology::Uniform(16));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  request.algorithm = PartitionAlgorithm::kHybrid;
+  request.options.memory_policy = MemoryPolicy::kNone;
+  for (double fraction : kBudgetFractions) {
+    SCOPED_TRACE(fraction);
+    request.memory_budget_bytes = static_cast<std::int64_t>(fraction * 16417036);
+    Result<PartitionResponse> response = session.Partition(request);
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kResourceExhausted);
+    const std::string& message = response.status().message();
+    EXPECT_NE(message.find("the lightest plan still needs 15.63 MiB per worker"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("minimum achievable peak with every buffer swapped or "
+                           "recomputed"),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST(HybridPartition, BudgetedPlansRoundTripWithPureStages) {
+  // Every budgeted hybrid plan round-trips JSON and validates; a pipeline's stage plans
+  // are pure. Returns whether the plan is a pipeline.
+  auto check = [](const Graph& graph, int workers, const PartitionOptions& options) {
+    const PartitionPlan plan = HybridPartition(graph, workers, options);
+    const std::string json = PlanToJson(plan);
+    Result<PartitionPlan> reloaded = PlanFromJson(json);
+    EXPECT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    if (reloaded.ok()) {
+      EXPECT_EQ(PlanToJson(*reloaded), json);
+    }
+    EXPECT_TRUE(ValidatePlanForGraph(graph, plan).ok());
+    if (plan.pipeline == nullptr) {
+      // S = 1 won: under kAuto it is the repaired plan, judged by its schedule.
+      EXPECT_EQ(plan.memory_schedule != nullptr,
+                options.memory_policy == MemoryPolicy::kAuto);
+      return false;
+    }
+    EXPECT_EQ(plan.memory_schedule, nullptr);
+    for (const PipelineStage& stage : plan.pipeline->stages) {
+      EXPECT_EQ(stage.plan.memory_schedule, nullptr);
+      EXPECT_EQ(stage.plan.pipeline, nullptr);
+    }
+    return true;
+  };
+  ModelGraph transformer = Transformer4();
+  ModelGraph narrow = NarrowMlp();
   PartitionOptions options;
   options.step_bandwidths = {21e9};
-  const std::int64_t peak =
-      PlanPeakShardBytes(model.graph, RecursivePartition(model.graph, 16, options));
+  const std::int64_t peak = PlanPeakShardBytes(
+      transformer.graph, RecursivePartition(transformer.graph, 16, options));
   int pipelines = 0;
   for (MemoryPolicy policy : {MemoryPolicy::kAuto, MemoryPolicy::kNone}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    options.memory_policy = policy;
     for (double fraction : kBudgetFractions) {
       SCOPED_TRACE(fraction);
-      options.memory_policy = policy;
       options.memory_budget_bytes = static_cast<std::int64_t>(fraction * peak);
-      const PartitionPlan plan = HybridPartition(model.graph, 16, options);
-      const std::string json = PlanToJson(plan);
-      Result<PartitionPlan> reloaded = PlanFromJson(json);
-      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-      EXPECT_EQ(PlanToJson(*reloaded), json);
-      EXPECT_TRUE(ValidatePlanForGraph(model.graph, plan).ok());
-      if (plan.pipeline == nullptr) {
-        // S = 1 won: under kAuto it is the repaired plan, judged by its schedule.
-        EXPECT_EQ(plan.memory_schedule != nullptr, policy == MemoryPolicy::kAuto);
-        continue;
-      }
-      ++pipelines;
-      EXPECT_EQ(plan.memory_schedule, nullptr);
-      for (const PipelineStage& stage : plan.pipeline->stages) {
-        EXPECT_EQ(stage.plan.memory_schedule, nullptr);
-        EXPECT_EQ(stage.plan.pipeline, nullptr);
-      }
+      pipelines += check(transformer.graph, 16, options) ? 1 : 0;
     }
+    // A budget only pipelines meet (BudgetThePurePlanCannotMeetForcesMoreStages).
+    options.memory_budget_bytes = 150;
+    pipelines += check(narrow.graph, 32, options) ? 1 : 0;
   }
-  // Without offloading, pipelines win: the stage checks above are not vacuous.
+  // The stage checks above are not vacuous.
   EXPECT_GT(pipelines, 0);
 }
 

@@ -136,5 +136,57 @@ TEST(PlanGoldens, FlatDpPlanIsBitIdentical) {
   ExpectPinned(model.graph, flat.plan, "bac04bfb28a26f12");
 }
 
+// Capped searches (frontier over DpOptions::max_states) search the lowest-index option
+// prefix of each entering slot; their plans are pinned so a change to how a capped
+// search fills its tables cannot move them unnoticed. The ablation models and settings
+// are bench_ablations' coarsening rows.
+void ExpectCappedPinned(const Graph& graph, const PartitionOptions& options,
+                        const char* digest) {
+  const PartitionPlan plan = RecursivePartition(graph, 8, options);
+  EXPECT_FALSE(plan.search_stats.exact) << digest;
+  ExpectPinned(graph, plan, digest);
+}
+
+ModelGraph AblationRnn() {
+  RnnConfig config;
+  config.layers = 6;
+  config.hidden = 4096;
+  config.batch = 256;
+  return BuildRnn(config);
+}
+
+ModelGraph AblationWResNet() {
+  WResNetConfig config;
+  config.layers = 101;
+  config.width = 8;
+  config.batch = 16;
+  return BuildWResNet(config);
+}
+
+TEST(PlanGoldens, CappedMlpSearchIsBitIdentical) {
+  MlpConfig config;
+  config.layer_sizes = {512, 512, 512, 256};
+  config.batch = 64;
+  const ModelGraph model = BuildMlp(config);
+  PartitionOptions options;
+  options.dp.max_states = 8;
+  ExpectCappedPinned(model.graph, options, "e482ddb5352040c2");
+}
+
+TEST(PlanGoldens, CappedAblationSearchesAreBitIdentical) {
+  PartitionOptions no_fwbw;
+  no_fwbw.dp.max_states = 1 << 14;
+  no_fwbw.coarsen.group_forward_backward = false;
+  PartitionOptions no_ew;
+  no_ew.dp.max_states = 1 << 14;
+  no_ew.coarsen.coalesce_elementwise = false;
+  const ModelGraph rnn = AblationRnn();
+  ExpectCappedPinned(rnn.graph, no_fwbw, "c1b32990555f505c");
+  ExpectCappedPinned(rnn.graph, no_ew, "51a4eeff614b567f");
+  const ModelGraph wresnet = AblationWResNet();
+  ExpectCappedPinned(wresnet.graph, no_fwbw, "04c028058a31bea5");
+  ExpectCappedPinned(wresnet.graph, no_ew, "48573c760173841b");
+}
+
 }  // namespace
 }  // namespace tofu

@@ -319,6 +319,13 @@ TEST(PlanValidate, RejectsPlansForOtherGraphs) {
   wrong_product.num_workers = 16;
   EXPECT_FALSE(ValidatePlanForGraph(model.graph, wrong_product).ok());
 
+  // A step without its weighted cost, which the session's step pricing reads (a plan
+  // planted in the plan cache must not reach it).
+  PartitionPlan unweighted = plan;
+  unweighted.weighted_step_costs.pop_back();
+  EXPECT_EQ(ValidatePlanForGraph(model.graph, unweighted).code(),
+            StatusCode::kInvalidArgument);
+
   // Crafted factor lists whose product would overflow are rejected early (no UB).
   PartitionPlan huge = plan;
   huge.step_factors.assign(4, 1 << 30);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -24,6 +25,29 @@
 
 namespace tofu {
 namespace {
+
+// A group cost at one combination of its touched slots' options: `options[i]` is the
+// option index of SearchSpace::group_slots[group][i].
+using CellCostFn = std::function<double(int group, const int* options)>;
+
+// Feeds SearchEngine::Run from a per-cell cost: each group table is filled by walking
+// its cells in the engine's canonical order (last touched slot fastest) over the
+// option counts the engine passes, calling `cell_fn` once per cell.
+SearchEngine::Result RunCells(SearchEngine& engine, const CellCostFn& cell_fn) {
+  return engine.Run([&cell_fn](int group, const std::vector<int>& num_options,
+                               double* cells, std::int64_t num_cells) {
+    std::vector<int> options(num_options.size(), 0);
+    for (std::int64_t idx = 0; idx < num_cells; ++idx) {
+      cells[idx] = cell_fn(group, options.data());
+      for (int i = static_cast<int>(options.size()) - 1; i >= 0; --i) {
+        if (++options[static_cast<size_t>(i)] < num_options[static_cast<size_t>(i)]) {
+          break;
+        }
+        options[static_cast<size_t>(i)] = 0;
+      }
+    }
+  });
+}
 
 ModelGraph GoldenMlp() {
   MlpConfig c;
@@ -205,7 +229,7 @@ TEST(SearchEngineUnit, PicksCheapestOptionOnOneSlot) {
   space.group_slots = {{0}};
   SearchEngine engine(std::move(space), {});
   SearchEngine::Result res =
-      engine.Run([](int, const int* o) { return o[0] == 0 ? 5.0 : 3.0; });
+      RunCells(engine, [](int, const int* o) { return o[0] == 0 ? 5.0 : 3.0; });
   EXPECT_TRUE(res.completed);
   EXPECT_DOUBLE_EQ(res.best_cost, 3.0);
   ASSERT_EQ(res.slot_option.size(), 1u);
@@ -220,7 +244,7 @@ TEST(SearchEngineUnit, ChainDpFindsJointMinimum) {
   space.slot_num_options = {2, 2, 2};
   space.group_slots = {{0, 1}, {1, 2}};
   SearchEngine engine(std::move(space), {});
-  SearchEngine::Result res = engine.Run([](int g, const int* o) {
+  SearchEngine::Result res = RunCells(engine, [](int g, const int* o) {
     if (g == 0) {
       return (o[0] == 1 ? 0.0 : 10.0) + (o[1] == 0 ? 0.0 : 1.0);
     }
@@ -238,7 +262,7 @@ TEST(SearchEngineUnit, SingleOptionAndUntouchedSlotsDefaultToZero) {
   space.slot_num_options = {3, 1, 4};
   space.group_slots = {{0, 1}};
   SearchEngine engine(std::move(space), {});
-  SearchEngine::Result res = engine.Run([](int, const int* o) {
+  SearchEngine::Result res = RunCells(engine, [](int, const int* o) {
     return o[0] == 2 ? 1.0 : 7.0;  // slot 1's only option rides along
   });
   EXPECT_DOUBLE_EQ(res.best_cost, 1.0);
@@ -258,7 +282,7 @@ TEST(SearchEngineUnit, OverCapGroupIsChargedOnTheCappedSubset) {
   SearchEngineOptions options;
   options.max_states = 16;
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run([](int, const int* o) {
+  SearchEngine::Result res = RunCells(engine, [](int, const int* o) {
     double c = 0.0;
     for (int i = 0; i < 13; ++i) {
       c += o[i] == 1 ? 1.0 : 0.0;
@@ -272,6 +296,14 @@ TEST(SearchEngineUnit, OverCapGroupIsChargedOnTheCappedSubset) {
   EXPECT_EQ(res.tables, nullptr);  // capped tables index a different space
   // Option 0 always survives the cap: the all-zeros optimum is found anyway.
   EXPECT_DOUBLE_EQ(res.best_cost, 0.0);
+  // The fill is told the capped counts: slots 0-3 keep both options, 4-12 only one.
+  std::vector<int> counts;
+  engine.Run([&counts](int, const std::vector<int>& num_options, double* cells,
+                       std::int64_t num_cells) {
+    counts = num_options;
+    std::fill(cells, cells + num_cells, 0.0);
+  });
+  EXPECT_EQ(counts, (std::vector<int>{2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
 }
 
 // Memory-constrained engine cases: SearchSpace::slot_option_bytes + memory_budget.
@@ -286,14 +318,14 @@ TEST(SearchEngineUnit, BudgetPrunesToTheCheapestFeasibleAssignment) {
 
   SearchSpace unconstrained = space;
   SearchEngine free_engine(std::move(unconstrained), {});
-  SearchEngine::Result free_res = free_engine.Run(cost);
+  SearchEngine::Result free_res = RunCells(free_engine, cost);
   EXPECT_EQ(free_res.slot_option[0], 0);
   EXPECT_DOUBLE_EQ(free_res.best_bytes, 0.0);  // no budget: bytes not tracked
 
   SearchEngineOptions options;
   options.memory_budget = 50.0;
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run(cost);
+  SearchEngine::Result res = RunCells(engine, cost);
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.slot_option[0], 1);
   EXPECT_DOUBLE_EQ(res.best_cost, 5.0);
@@ -311,7 +343,7 @@ TEST(SearchEngineUnit, BudgetInfeasibilityIsProvedNotSearched) {
   options.memory_budget = 50.0;
   SearchEngine engine(std::move(space), options);
   int calls = 0;
-  SearchEngine::Result res = engine.Run([&calls](int, const int*) {
+  SearchEngine::Result res = RunCells(engine, [&calls](int, const int*) {
     ++calls;
     return 1.0;
   });
@@ -331,7 +363,7 @@ TEST(SearchEngineUnit, BudgetLowerBoundPrunesAcrossSlots) {
   SearchEngineOptions options;
   options.memory_budget = 70.0;
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run([](int g, const int* o) {
+  SearchEngine::Result res = RunCells(engine, [](int g, const int* o) {
     return g == 0 ? (o[0] == 0 ? 0.0 : 9.0) : 0.0;  // the heavy option is the cheap one
   });
   EXPECT_TRUE(res.feasible);
@@ -352,12 +384,12 @@ TEST(SearchEngineUnit, EqualCostMergesPreferTheLighterState) {
 
   SearchSpace unconstrained = space;
   SearchEngine free_engine(std::move(unconstrained), {});
-  EXPECT_EQ(free_engine.Run(cost).slot_option[0], 0);  // canonical first-in-branch-order
+  EXPECT_EQ(RunCells(free_engine, cost).slot_option[0], 0);  // canonical first-in-branch-order
 
   SearchEngineOptions options;
   options.memory_budget = 1000.0;  // loose: nothing prunes, only tie-breaks change
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run(cost);
+  SearchEngine::Result res = RunCells(engine, cost);
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.slot_option[0], 1);
   EXPECT_DOUBLE_EQ(res.best_bytes, 30.0);
@@ -374,7 +406,7 @@ TEST(SearchEngineUnit, UntouchedSlotBytesChargeAgainstTheBudget) {
   SearchEngineOptions options;
   options.memory_budget = 100.0;
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run([](int, const int* o) {
+  SearchEngine::Result res = RunCells(engine, [](int, const int* o) {
     return o[0] == 0 ? 0.0 : 3.0;
   });
   EXPECT_TRUE(res.feasible);
@@ -394,7 +426,8 @@ TEST(SearchEngineUnit, RoundingAtTheBudgetEdgeReportsInsteadOfAborting) {
   SearchEngineOptions options;
   options.memory_budget = 0.1 + 0.2 + 0.3;
   SearchEngine engine(std::move(space), options);
-  SearchEngine::Result res = engine.Run([](int, const int* o) { return o[0] == 0 ? 1.0 : 0.0; });
+  SearchEngine::Result res =
+      RunCells(engine, [](int, const int* o) { return o[0] == 0 ? 1.0 : 0.0; });
   EXPECT_TRUE(res.completed);
   if (res.feasible) {
     EXPECT_LE(res.best_bytes, options.memory_budget);
@@ -470,7 +503,7 @@ TEST(SearchEngineDominance, SyntheticDominatedOptionIsPrunedWithoutChangingResul
   const double g0[] = {5.0, 1.0, 6.0};
   const double a[] = {2.0, 3.0, 2.0};
   const double b[] = {0.0, 10.0};
-  SearchEngine::GroupCostFn cost = [&](int group, const int* o) {
+  CellCostFn cost = [&](int group, const int* o) {
     return group == 0 ? g0[o[0]] : a[o[0]] + b[o[1]];
   };
   SearchEngineOptions pruned_options;  // prune_dominated defaults on
@@ -478,8 +511,8 @@ TEST(SearchEngineDominance, SyntheticDominatedOptionIsPrunedWithoutChangingResul
   unpruned_options.prune_dominated = false;
   SearchEngine pruned_engine(space, pruned_options);
   SearchEngine unpruned_engine(space, unpruned_options);
-  SearchEngine::Result pruned = pruned_engine.Run(cost);
-  SearchEngine::Result unpruned = unpruned_engine.Run(cost);
+  SearchEngine::Result pruned = RunCells(pruned_engine, cost);
+  SearchEngine::Result unpruned = RunCells(unpruned_engine, cost);
 
   EXPECT_EQ(pruned.slot_option, (std::vector<int>{1, 0}));
   EXPECT_EQ(pruned.slot_option, unpruned.slot_option);
@@ -500,19 +533,19 @@ TEST(SearchEngineReuse, ImportedTablesAreCountedAndChangeNothing) {
   space.slot_num_options = {3, 2};
   space.group_slots = {{0}, {0, 1}};
   int fills = 0;
-  SearchEngine::GroupCostFn cost = [&fills](int group, const int* o) {
+  CellCostFn cost = [&fills](int group, const int* o) {
     ++fills;
     return group == 0 ? 1.0 * o[0] : 0.5 * o[0] + 2.0 * o[1];
   };
   SearchEngine cold_engine(space, {});
-  SearchEngine::Result cold = cold_engine.Run(cost);
+  SearchEngine::Result cold = RunCells(cold_engine, cost);
   ASSERT_NE(cold.tables, nullptr);
   const int cold_fills = fills;
 
   SearchEngineOptions warm_options;
   warm_options.reuse_tables = cold.tables;
   SearchEngine warm_engine(space, warm_options);
-  SearchEngine::Result warm = warm_engine.Run(cost);
+  SearchEngine::Result warm = RunCells(warm_engine, cost);
   EXPECT_EQ(fills, cold_fills) << "imported tables must not be refilled";
   EXPECT_GT(warm.stats.reused_table_entries, 0);
   EXPECT_EQ(cold.stats.reused_table_entries, 0);
@@ -548,7 +581,7 @@ TEST(SearchEngineUnit, WideSlotWinnersPastByteRange) {
     return g == 0 ? (o[0] == 257 ? 0.0 : 1.0) : (o[1] == 1 ? 0.0 : 2.0);
   };
   SearchEngine engine(std::move(space), {});
-  SearchEngine::Result table = engine.Run(cost);
+  SearchEngine::Result table = RunCells(engine, cost);
   SearchEngine::Result streamed = engine.RunStreamed([&](int g, const int* o, double* c) {
     *c = cost(g, o);
     return true;
@@ -587,7 +620,7 @@ TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
   // Option 0 is light: the capped subset fits, so the answer must honor the budget.
   options.memory_budget = 13.0 + 2.0 * 4.0;
   SearchEngine light(make_space(1.0, 3.0), options);
-  SearchEngine::Result fits = light.Run(cost);
+  SearchEngine::Result fits = RunCells(light, cost);
   EXPECT_FALSE(fits.stats.exact);
   ASSERT_TRUE(fits.feasible);
   EXPECT_LE(fits.best_bytes, options.memory_budget);
@@ -601,7 +634,7 @@ TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
   // Option 0 is heavy: the full space fits (all option 1), the capped subset cannot.
   options.memory_budget = 13.0 * 1.0 + 4.0;
   SearchEngine heavy(make_space(5.0, 1.0), options);
-  SearchEngine::Result none = heavy.Run(cost);
+  SearchEngine::Result none = RunCells(heavy, cost);
   EXPECT_FALSE(none.stats.exact);
   EXPECT_FALSE(none.feasible);
 }
@@ -782,7 +815,7 @@ TEST(SearchEngineOracle, MatchesExhaustiveSearchOnTinySpaces) {
         options.prune_dominated = seed % 2 == 0;
         SearchEngine engine(t.space, options);
         SearchEngine::Result table =
-            engine.Run([&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
+            RunCells(engine, [&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
         SearchEngine::Result streamed = engine.RunStreamed([&t](int g, const int* o, double* c) {
           *c = TinyGroupCost(t, g, o);
           return true;

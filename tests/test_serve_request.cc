@@ -105,7 +105,29 @@ TEST(ServeRequest, NonIntegralArrayElementsAreInvalidArgument) {
     EXPECT_FALSE(*doc->BoolAt("ok"));
     EXPECT_EQ(*doc->StringAt("code"), "INVALID_ARGUMENT");
     EXPECT_NE(doc->StringAt("error")->find("layer_sizes"), std::string::npos) << response;
-    EXPECT_EQ(*doc->IntAt("id"), -1);  // the parser rejected the line: no id
+    EXPECT_EQ(*doc->IntAt("id"), 1);  // the rejected line keeps its own id
+  }
+}
+
+TEST(ServeRequest, RejectedLineAnswersWithItsRecoverableId) {
+  // A line the request parser rejects answers with its own id when it is a JSON object
+  // carrying an integral int64 id; a truncated line or a non-numeric id answers -1.
+  struct Case {
+    const char* line;
+    std::int64_t id;
+  };
+  const Case kCases[] = {
+      {R"({"id":1,"model":"mlp","workers":4,"config":{"layer_sizes":[784.5,10]}})", 1},
+      {R"({"id":5,)", -1},
+      {R"({"id":"x","model":"mlp"})", -1},
+  };
+  PlanService service;
+  for (const Case& c : kCases) {
+    const std::string response = HandleServeLine(service, c.line, /*include_plan=*/false);
+    Result<JsonValue> doc = ParseJson(response);
+    ASSERT_TRUE(doc.ok()) << response;
+    EXPECT_FALSE(*doc->BoolAt("ok")) << c.line;
+    EXPECT_EQ(*doc->IntAt("id"), c.id) << c.line;
   }
 }
 

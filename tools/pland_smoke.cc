@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
   int cached_or_coalesced = 0;
   int workers_rejected = 0;
   int fraction_rejected = 0;
+  int malformed_rejected = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     tofu::Result<tofu::JsonValue> doc = tofu::ParseJson(lines[i]);
     Check(doc.ok(), "response line " + std::to_string(i) + " is not valid JSON: " +
@@ -186,26 +187,26 @@ int main(int argc, char** argv) {
       Check(model.ok(), "hybrid model build failed");
       const tofu::Status valid = tofu::ValidatePlanForGraph(model->graph, *plan);
       Check(valid.ok(), "hybrid plan does not validate: " + valid.ToString());
-    } else if (*id == 4 || *id == 8) {
+    } else if (*id == 4 || *id == 7 || *id == 8 || *id == 9) {
+      // Rejected requests answer with their own id: the unknown model, the
+      // out-of-range worker count, the overflowing tensor and the fractional layer size.
       Check(!*ok_field, "request id " + std::to_string(*id) + " unexpectedly succeeded");
       tofu::Result<std::string> code = doc->StringAt("code");
       Check(code.ok() && *code == "INVALID_ARGUMENT",
             "request id " + std::to_string(*id) +
                 " should be INVALID_ARGUMENT, got line: " + lines[i]);
-    } else if (*id == -1) {
-      // Lines the request parser rejects carry no id: the unknown model, the malformed
-      // line, the out-of-range worker count, and the fractional layer size.
-      Check(!*ok_field, "rejected line unexpectedly succeeded: " + lines[i]);
       tofu::Result<std::string> error = doc->StringAt("error");
-      if (error.ok() && error->find("'workers' out of int range") != std::string::npos) {
+      if (*id == 7 && error.ok() &&
+          error->find("'workers' out of int range") != std::string::npos) {
         ++workers_rejected;
       }
-      if (error.ok() && error->find("'layer_sizes'") != std::string::npos) {
-        tofu::Result<std::string> code = doc->StringAt("code");
-        Check(code.ok() && *code == "INVALID_ARGUMENT",
-              "the fractional layer size should be INVALID_ARGUMENT: " + lines[i]);
+      if (*id == 9 && error.ok() && error->find("'layer_sizes'") != std::string::npos) {
         ++fraction_rejected;
       }
+    } else if (*id == -1) {
+      // Only the malformed line has no recoverable id.
+      Check(!*ok_field, "malformed line unexpectedly succeeded: " + lines[i]);
+      ++malformed_rejected;
     } else {
       Fail("unexpected response id " + std::to_string(*id));
     }
@@ -216,6 +217,7 @@ int main(int argc, char** argv) {
         "duplicate request was answered by a second search");
   Check(workers_rejected == 1, "the out-of-range worker count was not rejected");
   Check(fraction_rejected == 1, "the fractional layer size was not rejected");
+  Check(malformed_rejected == 1, "expected exactly one response with id -1");
 
   // Second run: --algo=Hybrid must route a request that omits "algorithm" through the
   // hybrid search (same budget-constrained spec, no algorithm field, same pipeline).
