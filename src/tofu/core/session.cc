@@ -1,6 +1,8 @@
 #include "tofu/core/session.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "tofu/interconnect/sim_bridge.h"
 #include "tofu/memory/liveness.h"
@@ -174,6 +176,23 @@ Status BudgetCheck(const Graph& graph, const PartitionResponse& response,
                 advice.c_str(), floor_note.c_str()));
 }
 
+// The first figure the response or its plan would report that is not finite, or ""
+// when every one is.
+std::string NonFiniteResponseField(const PartitionResponse& response) {
+  for (size_t i = 0; i < response.step_seconds.size(); ++i) {
+    if (!std::isfinite(response.step_seconds[i])) return StrFormat("step_seconds[%zu]", i);
+  }
+  for (const auto& [name, value] :
+       {std::pair{"estimated_comm_seconds", response.estimated_comm_seconds},
+        std::pair{"simulated_comm_seconds", response.simulated_comm_seconds},
+        std::pair{"memory_overhead_seconds", response.memory_overhead_seconds},
+        std::pair{"simulated_memory_seconds", response.simulated_memory_seconds}}) {
+    if (!std::isfinite(value)) return name;
+  }
+  const std::string plan_field = NonFinitePlanField(response.plan);
+  return plan_field.empty() ? plan_field : "plan." + plan_field;
+}
+
 }  // namespace
 
 Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
@@ -185,15 +204,16 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
                   StrFormat("DeviceTopology.num_workers = %d; need >= 1",
                             topology_.num_workers));
   }
-  // Every bandwidth divides a byte count somewhere downstream; zero or negative ones
-  // would turn into inf/NaN estimates inside an ok() response.
-  if (topology_.uniform_bandwidth <= 0.0) {
+  // Every bandwidth divides a byte count somewhere downstream; zero, negative or NaN
+  // ones would turn into inf/NaN estimates inside an ok() response. (A positive one can
+  // still be small enough to overflow a figure; SearchAndCache catches that.)
+  if (!(topology_.uniform_bandwidth > 0.0)) {
     return Status(StatusCode::kInvalidArgument,
                   StrFormat("DeviceTopology.uniform_bandwidth = %g; need > 0",
                             topology_.uniform_bandwidth));
   }
   for (double b : topology_.level_bandwidths) {
-    if (b <= 0.0) {
+    if (!(b > 0.0)) {
       return Status(StatusCode::kInvalidArgument,
                     StrFormat("DeviceTopology.level_bandwidths entry %g; need > 0", b));
     }
@@ -207,7 +227,7 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
                             topology_.num_workers));
   }
   for (double b : request.options.step_bandwidths) {
-    if (b <= 0.0) {
+    if (!(b > 0.0)) {
       return Status(StatusCode::kInvalidArgument,
                     StrFormat("PartitionOptions.step_bandwidths entry %g; need > 0", b));
     }
@@ -450,6 +470,19 @@ Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& reques
   }
   response.search_stats = plan.search_stats;
   response.from_cache = false;
+  // JSON has no inf or NaN, and a figure that overflowed (a positive bandwidth so small
+  // that bytes / bandwidth is inf) describes no real plan. Rejected before caching, so
+  // no cache entry ever holds a plan that cannot be rendered.
+  const std::string non_finite = NonFiniteResponseField(response);
+  if (!non_finite.empty()) {
+    return Status(StatusCode::kInvalidArgument,
+                  StrFormat("PartitionResponse.%s is not finite: a bandwidth too small for "
+                            "the plan's bytes overflows the figures it prices",
+                            non_finite.c_str()));
+  }
+  // One render slot per entry, shared by the cached copy, this leader's response and
+  // every coalesced rider; it is filled on the entry's first serve, not here.
+  response.plan_json = std::make_shared<PlanRender>();
 
   // Cache before the budget check: the search is the expensive part, and a repeated
   // identical (infeasible) request should fail fast from the cache instead of

@@ -142,6 +142,13 @@ struct PartitionRequest {
   std::int64_t memory_budget_bytes = 0;
 };
 
+// The JSON bytes of one cached plan, rendered at most once (see
+// PartitionResponse::plan_json).
+struct PlanRender {
+  std::once_flag once;
+  std::string json;  // PlanToJson(plan) once `once` has run
+};
+
 struct PartitionResponse {
   PartitionPlan plan;
   // The plan's memory verdict (PlanPeakShardBytes, memory/liveness.h): the
@@ -180,6 +187,14 @@ struct PartitionResponse {
   // True when this response is a copy of a concurrent identical request's search result
   // (single-flight): this caller paid a wait, not a search.
   bool coalesced = false;
+  // The render slot: holds the bytes of PlanToJson(plan) for `plan` as cached. Every
+  // response the session caches carries one, and its cached, hit and coalesced copies
+  // share it. It starts empty, so a caller that never renders (Session::Partition
+  // alone) never pays for a render; ServeResponseLine (serve/server.h) fills it on the
+  // entry's first serve and copies the stored bytes after that. Null on a hand-built
+  // response, which renders directly. A caller that modifies `plan` must reset this
+  // first, or the slot keeps serving the plan as cached.
+  std::shared_ptr<PlanRender> plan_json;
 };
 
 // One row of a comm-time / peak-memory / recompute frontier (Session::MemoryFrontier):

@@ -1,7 +1,10 @@
 #include "tofu/partition/plan_io.h"
 
+#include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "tofu/memory/schedule.h"
@@ -171,7 +174,86 @@ void WritePlanObject(JsonWriter* wp, const PartitionPlan& plan) {
 std::string PlanToJson(const PartitionPlan& plan) {
   JsonWriter w;
   WritePlanObject(&w, plan);
-  return w.str();
+  return std::move(w).str();
+}
+
+namespace {
+
+// The name of the first non-finite figure in `figures`, or nullptr when all are finite.
+const char* FirstNonFinite(std::initializer_list<std::pair<const char*, double>> figures) {
+  for (const auto& [name, value] : figures) {
+    if (!std::isfinite(value)) return name;
+  }
+  return nullptr;
+}
+
+// "name[i]" for the first non-finite element of `values`, or "" when all are finite.
+std::string FirstNonFinite(const char* name, const std::vector<double>& values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) return StrFormat("%s[%zu]", name, i);
+  }
+  return "";
+}
+
+}  // namespace
+
+// Covers every Number field WritePlanObject writes; a figure added there belongs here.
+std::string NonFinitePlanField(const PartitionPlan& plan) {
+  if (const char* name = FirstNonFinite(
+          {{"total_comm_bytes", plan.total_comm_bytes},
+           {"estimated_comm_seconds", plan.estimated_comm_seconds},
+           {"search_stats.wall_seconds", plan.search_stats.wall_seconds}})) {
+    return name;
+  }
+  std::string bad = FirstNonFinite("weighted_step_costs", plan.weighted_step_costs);
+  if (bad.empty()) bad = FirstNonFinite("step_seconds", plan.step_seconds);
+  if (!bad.empty()) return bad;
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const BasicPlan& step = plan.steps[i];
+    if (const char* name = FirstNonFinite({{"comm_bytes", step.comm_bytes},
+                                           {"comm_seconds", step.comm_seconds},
+                                           {"peak_shard_bytes", step.peak_shard_bytes}})) {
+      return StrFormat("steps[%zu].%s", i, name);
+    }
+  }
+  if (plan.pipeline != nullptr) {
+    const PipelinePlan& pipe = *plan.pipeline;
+    if (const char* name = FirstNonFinite({{"bottleneck_seconds", pipe.bottleneck_seconds},
+                                           {"pipeline_seconds", pipe.pipeline_seconds},
+                                           {"comm_seconds", pipe.comm_seconds}})) {
+      return std::string("pipeline.") + name;
+    }
+    for (size_t i = 0; i < pipe.stages.size(); ++i) {
+      const PipelineStage& stage = pipe.stages[i];
+      if (const char* name =
+              FirstNonFinite({{"fwd_seconds", stage.fwd_seconds},
+                              {"bwd_seconds", stage.bwd_seconds},
+                              {"activation_bytes", stage.activation_bytes},
+                              {"transfer_fwd_seconds", stage.transfer_fwd_seconds},
+                              {"transfer_bwd_seconds", stage.transfer_bwd_seconds}})) {
+        return StrFormat("pipeline.stages[%zu].%s", i, name);
+      }
+      const std::string inner = NonFinitePlanField(stage.plan);
+      if (!inner.empty()) return StrFormat("pipeline.stages[%zu].plan.", i) + inner;
+    }
+  }
+  if (plan.memory_schedule != nullptr) {
+    const MemorySchedule& sched = *plan.memory_schedule;
+    if (const char* name = FirstNonFinite({{"swap_bytes", sched.swap_bytes},
+                                           {"swap_seconds", sched.swap_seconds},
+                                           {"recompute_seconds", sched.recompute_seconds},
+                                           {"host_bandwidth", sched.host_bandwidth}})) {
+      return std::string("memory_schedule.") + name;
+    }
+    for (size_t i = 0; i < sched.decisions.size(); ++i) {
+      const MemoryDecision& d = sched.decisions[i];
+      if (const char* name = FirstNonFinite(
+              {{"bytes", d.bytes}, {"overhead_seconds", d.overhead_seconds}})) {
+        return StrFormat("memory_schedule.decisions[%zu].%s", i, name);
+      }
+    }
+  }
+  return "";
 }
 
 namespace {

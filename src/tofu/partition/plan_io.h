@@ -43,6 +43,12 @@ inline constexpr const char* kPlanJsonSchemaV4 = "tofu.plan.v4";
 // strategies, costs, topology estimates, search stats).
 std::string PlanToJson(const PartitionPlan& plan);
 
+// The path of the first figure PlanToJson would write that is not finite (for example
+// "steps[1].comm_seconds" or "pipeline.stages[0].plan.step_seconds[2]"), or "" when
+// every figure is finite. JSON has no inf or NaN, so PlanToJson aborts on such a plan;
+// Session::Partition rejects one before caching it.
+std::string NonFinitePlanField(const PartitionPlan& plan);
+
 // Parses a plan serialized by PlanToJson. Returns kInvalidArgument on malformed JSON,
 // an unknown schema tag, or inconsistent step arrays.
 Result<PartitionPlan> PlanFromJson(const std::string& json);

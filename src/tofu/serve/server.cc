@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <streambuf>
 #include <utility>
@@ -62,7 +63,7 @@ std::string ErrorResponseLine(std::int64_t id, const Status& status,
   w.Key("error").String(status.message());
   w.Key("elapsed_seconds").Number(elapsed_seconds);
   w.EndObject();
-  return w.str();
+  return std::move(w).str();
 }
 
 // The id a rejected line answers with: its own `id` when the line is a JSON object
@@ -176,7 +177,7 @@ std::string StreamServerMetrics::ToJson() const {
   w.Key("collisions").Int(cache.collisions);
   w.Key("evictions").Int(cache.evictions);
   w.EndObject();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string ServeResponseLine(const ServeRequest& request,
@@ -208,10 +209,19 @@ std::string ServeResponseLine(const ServeRequest& request,
     w.Key("simulated_memory_seconds").Number(response.simulated_memory_seconds);
   }
   if (include_plan) {
-    w.Key("plan").Raw(PlanToJson(response.plan));
+    w.Key("plan");
+    if (response.plan_json == nullptr) {
+      w.Raw(PlanToJson(response.plan));
+    } else {
+      // A cached entry is rendered on its first serve, by whichever thread gets there
+      // first; every later hit or coalesced copy appends the stored bytes.
+      PlanRender& render = *response.plan_json;
+      std::call_once(render.once, [&] { render.json = PlanToJson(response.plan); });
+      w.Raw(render.json);
+    }
   }
   w.EndObject();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string HandleServeLine(PlanService& service, const std::string& line,

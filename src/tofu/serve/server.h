@@ -124,7 +124,10 @@ class StreamServer {
 };
 
 // Serializes one response line (no trailing newline). Exposed for tests and the load
-// driver so they can compare against exactly what the server emits.
+// driver so they can compare against exactly what the server emits. With include_plan,
+// a response carrying a render slot (PartitionResponse::plan_json) appends the plan
+// bytes stored there, rendering them into the slot on the entry's first serve; one
+// without a slot renders its plan directly. The bytes are the same either way.
 std::string ServeResponseLine(const ServeRequest& request,
                               const Result<PartitionResponse>& result,
                               double elapsed_seconds, bool include_plan);

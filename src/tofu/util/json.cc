@@ -52,7 +52,7 @@ JsonWriter& JsonWriter::EndArray() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Key(const std::string& name) {
+JsonWriter& JsonWriter::Key(std::string_view name) {
   BeforeValue();
   EmitString(name);
   out_ += ':';
@@ -60,13 +60,13 @@ JsonWriter& JsonWriter::Key(const std::string& name) {
   return *this;
 }
 
-JsonWriter& JsonWriter::String(const std::string& value) {
+JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
   EmitString(value);
   return *this;
 }
 
-void JsonWriter::EmitString(const std::string& value) {
+void JsonWriter::EmitString(std::string_view value) {
   out_ += '"';
   for (char c : value) {
     switch (c) {
@@ -96,7 +96,7 @@ void JsonWriter::EmitString(const std::string& value) {
   out_ += '"';
 }
 
-JsonWriter& JsonWriter::Raw(const std::string& json) {
+JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_ += json;
   return *this;
@@ -118,7 +118,12 @@ JsonWriter& JsonWriter::Number(double value) {
 
 JsonWriter& JsonWriter::Int(std::int64_t value) {
   BeforeValue();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  // Straight into out_, like Number: plan arrays write one Int per tensor and op, so a
+  // temporary string per element would dominate a plan render.
+  char buffer[24];  // "-9223372036854775808" is 20 characters
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  TOFU_CHECK(ec == std::errc()) << "to_chars failed";
+  out_.append(buffer, static_cast<size_t>(end - buffer));
   return *this;
 }
 
@@ -647,7 +652,7 @@ void WriteJsonValue(const JsonValue& value, JsonWriter* writer) {
 std::string JsonToString(const JsonValue& value) {
   JsonWriter writer;
   WriteJsonValue(value, &writer);
-  return writer.str();
+  return std::move(writer).str();
 }
 
 bool WriteTextFile(const std::string& path, const std::string& content) {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,21 +38,24 @@ class JsonWriter {
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
   JsonWriter& EndArray();
-  JsonWriter& Key(const std::string& name);
-  JsonWriter& String(const std::string& value);
+  JsonWriter& Key(std::string_view name);
+  JsonWriter& String(std::string_view value);
   JsonWriter& Number(double value);   // %.17g round-trippable
-  JsonWriter& Int(std::int64_t value);
+  JsonWriter& Int(std::int64_t value);  // %lld digits, written in place
   JsonWriter& Bool(bool value);
   // Appends `json` verbatim as one value (comma handling included). The caller owns its
   // well-formedness -- used to embed an already-serialized document, e.g. a plan from
   // PlanToJson inside a serving response line, without reparsing it.
-  JsonWriter& Raw(const std::string& json);
+  JsonWriter& Raw(std::string_view json);
 
-  const std::string& str() const { return out_; }
+  const std::string& str() const& { return out_; }
+  // Moves the document out of a writer that is done (`return std::move(w).str();`),
+  // so returning a large document does not copy it.
+  std::string str() && { return std::move(out_); }
 
  private:
   void BeforeValue();
-  void EmitString(const std::string& value);
+  void EmitString(std::string_view value);
 
   std::string out_;
   std::vector<bool> needs_comma_;  // per open scope

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include "tofu/util/json.h"
 
@@ -117,6 +121,50 @@ TEST(JsonRoundTrip, WriterOutputParsesBack) {
   EXPECT_EQ(doc->NumberAt("big").value(), 1.7976931348623157e308);
   EXPECT_EQ(doc->IntAt("neg").value(), -42);
   EXPECT_TRUE(doc->ArrayAt("flags").value()->AsArray()[0].AsBool());
+}
+
+TEST(JsonRoundTrip, IntWritesTheDigitsOfPrintf) {
+  const std::int64_t kValues[] = {0,
+                                  -1,
+                                  7,
+                                  1234567890123,
+                                  std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max()};
+  for (std::int64_t value : kValues) {
+    JsonWriter w;
+    w.BeginArray();
+    w.Int(value).Int(value);
+    w.EndArray();
+    char digits[32];
+    std::snprintf(digits, sizeof(digits), "%lld", static_cast<long long>(value));
+    EXPECT_EQ(w.str(), "[" + std::string(digits) + "," + digits + "]");
+
+    Result<JsonValue> doc = ParseJson(w.str());
+    ASSERT_TRUE(doc.ok()) << w.str();
+    ASSERT_EQ(doc->AsArray().size(), 2u);
+    // Parsed back as a double: exact up to 2^53 and at INT64_MIN (-2^63); INT64_MAX
+    // rounds to 2^63, the nearest double.
+    EXPECT_EQ(doc->AsArray()[0].AsNumber(), static_cast<double>(value)) << w.str();
+  }
+  EXPECT_EQ(ParseJson("-9223372036854775808")->AsInt(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(JsonRoundTrip, KeysWithEscapesParseBack) {
+  const std::string kKeys[] = {"plain", "quote\"d", "back\\slash", "tab\there",
+                               std::string("ctl\x01", 4)};
+  JsonWriter w;
+  w.BeginObject();
+  for (size_t i = 0; i < std::size(kKeys); ++i) {
+    w.Key(kKeys[i]).Int(static_cast<std::int64_t>(i));
+  }
+  w.EndObject();
+  Result<JsonValue> doc = ParseJson(w.str());
+  ASSERT_TRUE(doc.ok()) << w.str();
+  for (size_t i = 0; i < std::size(kKeys); ++i) {
+    EXPECT_EQ(doc->IntAt(kKeys[i]).value_or(-1), static_cast<std::int64_t>(i)) << kKeys[i];
+  }
+  EXPECT_EQ(JsonToString(*doc), w.str());
 }
 
 TEST(JsonFiles, ReadTextFileReportsMissing) {

@@ -4,8 +4,9 @@
 //
 // Pipes a small mixed batch (a duplicated MLP request, a tiny RNN, an unknown model,
 // a malformed line, a budget-constrained Hybrid request, an out-of-range worker count,
-// a spec whose tensor bytes overflow int64, and a fractional layer size) through the
-// daemon, then
+// a spec whose tensor bytes overflow int64, a fractional layer size, and two
+// bandwidths so small that the plan's comm time overflows to inf) through the daemon,
+// then
 // checks the stream contract: one response line per request, every line parses as
 // schema tofu.serve.v1, each ok response's embedded plan replays through
 // ValidatePlanForGraph against a freshly built graph, the duplicate is served without
@@ -82,6 +83,12 @@ int main(int argc, char** argv) {
   const std::string fractional_line =
       "{\"id\":9,\"model\":\"mlp\",\"workers\":4,"
       "\"config\":{\"layer_sizes\":[784.5,10]}}";
+  // Bandwidths that pass the "> 0" check but overflow bytes / bandwidth to inf: JSON
+  // cannot carry the figure, so the request is rejected rather than aborting the render.
+  const std::string tiny_levels_line =
+      "{\"id\":10,\"model\":\"mlp\",\"workers\":4,\"level_bandwidths\":[1e-320,1e-320]}";
+  const std::string tiny_uniform_line =
+      "{\"id\":11,\"model\":\"mlp\",\"workers\":4,\"uniform_bandwidth\":1e-320}";
   // A budget no pure plan can meet on this narrow graph (its liveness floor is 192
   // bytes per worker at 32 workers) -- the hybrid search must answer with a
   // multi-stage pipeline plan (tests/test_pipeline.cc pins the stage goldens).
@@ -93,7 +100,8 @@ int main(int argc, char** argv) {
   const std::string requests = mlp_line + "\n" + mlp_dup_line + "\n" + rnn_line +
                                "\n" + bad_model_line + "\n" + malformed_line + "\n" +
                                hybrid_line + "\n" + workers_overflow_line + "\n" +
-                               bytes_overflow_line + "\n" + fractional_line + "\n";
+                               bytes_overflow_line + "\n" + fractional_line + "\n" +
+                               tiny_levels_line + "\n" + tiny_uniform_line + "\n";
   Check(tofu::WriteTextFile("pland_smoke_requests.jsonl", requests),
         "cannot write request file");
 
@@ -110,13 +118,14 @@ int main(int argc, char** argv) {
       tofu::ReadTextFile("pland_smoke_responses.jsonl");
   Check(responses.ok(), "cannot read response file");
   const std::vector<std::string> lines = SplitLines(*responses);
-  Check(lines.size() == 9,
-        "expected 9 response lines, got " + std::to_string(lines.size()));
+  Check(lines.size() == 11,
+        "expected 11 response lines, got " + std::to_string(lines.size()));
 
   int cached_or_coalesced = 0;
   int workers_rejected = 0;
   int fraction_rejected = 0;
   int malformed_rejected = 0;
+  int overflow_rejected = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     tofu::Result<tofu::JsonValue> doc = tofu::ParseJson(lines[i]);
     Check(doc.ok(), "response line " + std::to_string(i) + " is not valid JSON: " +
@@ -187,9 +196,10 @@ int main(int argc, char** argv) {
       Check(model.ok(), "hybrid model build failed");
       const tofu::Status valid = tofu::ValidatePlanForGraph(model->graph, *plan);
       Check(valid.ok(), "hybrid plan does not validate: " + valid.ToString());
-    } else if (*id == 4 || *id == 7 || *id == 8 || *id == 9) {
+    } else if (*id == 4 || *id == 7 || *id == 8 || *id == 9 || *id == 10 || *id == 11) {
       // Rejected requests answer with their own id: the unknown model, the
-      // out-of-range worker count, the overflowing tensor and the fractional layer size.
+      // out-of-range worker count, the overflowing tensor, the fractional layer size and
+      // the two overflowing bandwidths.
       Check(!*ok_field, "request id " + std::to_string(*id) + " unexpectedly succeeded");
       tofu::Result<std::string> code = doc->StringAt("code");
       Check(code.ok() && *code == "INVALID_ARGUMENT",
@@ -202,6 +212,10 @@ int main(int argc, char** argv) {
       }
       if (*id == 9 && error.ok() && error->find("'layer_sizes'") != std::string::npos) {
         ++fraction_rejected;
+      }
+      if ((*id == 10 || *id == 11) && error.ok() &&
+          error->find("is not finite") != std::string::npos) {
+        ++overflow_rejected;
       }
     } else if (*id == -1) {
       // Only the malformed line has no recoverable id.
@@ -218,6 +232,7 @@ int main(int argc, char** argv) {
   Check(workers_rejected == 1, "the out-of-range worker count was not rejected");
   Check(fraction_rejected == 1, "the fractional layer size was not rejected");
   Check(malformed_rejected == 1, "expected exactly one response with id -1");
+  Check(overflow_rejected == 2, "the overflowing bandwidths were not both rejected");
 
   // Second run: --algo=Hybrid must route a request that omits "algorithm" through the
   // hybrid search (same budget-constrained spec, no algorithm field, same pipeline).
@@ -249,6 +264,6 @@ int main(int argc, char** argv) {
             tofu::JsonToString(*algo_plan).find("tofu.plan.v3") != std::string::npos,
         "--algo=Hybrid response does not carry a v3 pipeline plan");
 
-  std::printf("pland_smoke: OK (10 responses validated)\n");
+  std::printf("pland_smoke: OK (12 responses validated)\n");
   return 0;
 }
