@@ -14,17 +14,4 @@ double ShardBytesForCut(const Shape& shape, int elem_size, int cut, int ways) {
   return static_cast<double>(elems) * static_cast<double>(elem_size);
 }
 
-double ShardBytesForTiling(const Shape& shape, int elem_size,
-                           const std::vector<int>& tiling,
-                           const std::vector<int>& factors) {
-  Shape shard = shape;
-  for (size_t i = 0; i < tiling.size(); ++i) {
-    if (tiling[i] >= 0) {
-      std::int64_t& extent = shard[static_cast<size_t>(tiling[i])];
-      extent = (extent + factors[i] - 1) / factors[i];
-    }
-  }
-  return static_cast<double>(NumElements(shard)) * static_cast<double>(elem_size);
-}
-
 }  // namespace tofu

@@ -19,13 +19,6 @@ namespace tofu {
 // otherwise. `cut` may be kReplicated (-1), meaning no dimension is divided.
 double ShardBytesForCut(const Shape& shape, int elem_size, int cut, int ways);
 
-// Bytes one worker stores for a tensor after a whole multi-step tiling: dimension
-// tiling[i] is ceil-divided by factors[i] in step order (kReplicated entries skip the
-// step), matching the step-wise rounding above composed across steps.
-double ShardBytesForTiling(const Shape& shape, int elem_size,
-                           const std::vector<int>& tiling,
-                           const std::vector<int>& factors);
-
 // A slot's resident bytes under one shared cut: all members of a coarse slot are cut
 // along the same dimension, so the slot's contribution to a step's per-group residency
 // is the sum of its members' shards. `shape_at(t)` supplies the tensor's current-step

@@ -407,6 +407,7 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
         slot_opt[static_cast<size_t>(s)] = 0;
       }
     }
+    return true;
   };
 
   SearchEngineOptions engine_options;

@@ -32,7 +32,11 @@ class StepTableCache;
 struct DpOptions {
   // Drop case-2 (output-reduction) strategies; models the ICML'18 baseline of §7.3.
   bool allow_reduction_strategies = true;
-  // Safety cap on simultaneous DP states (frontier blow-up on non-chain graphs).
+  // Safety cap on simultaneous DP states (frontier blow-up on non-chain graphs). It
+  // bounds the frontier width, not the fill work of the group tables under it: RNN-6-4K
+  // (batch 256) at 8 workers with coalesce_elementwise = false fills for over a minute
+  // at the default, against about a second at 1 << 14 (docs/search.md, "Over-cap
+  // searches").
   std::int64_t max_states = 1 << 22;
   // Threads for state expansion (see SearchEngineOptions::num_threads). 0 (the default)
   // auto-sizes from hardware_concurrency; any value yields byte-identical plans.

@@ -7,7 +7,6 @@
 #include "tofu/memory/bytes.h"
 #include "tofu/partition/search_engine.h"
 #include "tofu/partition/strategy.h"
-#include "tofu/util/logging.h"
 
 namespace tofu {
 namespace {
@@ -87,6 +86,12 @@ double TensorBytesAt(const Graph& graph, TensorId t, const Tiling& tiling,
 FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
                        const FlatDpOptions& options) {
   FlatDpResult result;
+  if (options.num_workers <= 1) {
+    // One worker: nothing to split, the trivial plan is the whole answer.
+    result.completed = true;
+    result.plan.num_workers = options.num_workers;
+    return result;
+  }
   const std::vector<int> factors = FactorizeWorkers(options.num_workers);
   const size_t m = factors.size();
   const auto start = Clock::now();
@@ -103,21 +108,10 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
   }
 
   // Per-unit strategy sequences; strategies concretized once at the original shapes.
-  StepContext base_ctx(graph, StepContext::InitialShapes(graph), std::max(2, factors[0]));
+  StepContext base_ctx(graph, StepContext::InitialShapes(graph), factors[0]);
   std::vector<std::vector<std::vector<int>>> unit_seqs(coarse.units.size());
   for (size_t u = 0; u < coarse.units.size(); ++u) {
-    int n = static_cast<int>(base_ctx.Strategies(coarse.units[u].ops[0]).size());
-    if (!options.allow_reduction_strategies) {
-      // Reduction strategies are filtered during evaluation; shrink the space here too.
-      int kept = 0;
-      for (int i = 0; i < n; ++i) {
-        if (!base_ctx.Strategies(coarse.units[u].ops[0])[static_cast<size_t>(i)]
-                 .is_reduction) {
-          ++kept;
-        }
-      }
-      n = kept;
-    }
+    const int n = static_cast<int>(base_ctx.Strategies(coarse.units[u].ops[0]).size());
     EnumerateStrategySeqs(n, factors, 0, {}, &unit_seqs[u]);
   }
 
@@ -151,13 +145,10 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
         const int choice = (*seq_of_unit[ui])[step];
         for (OpId op_id : unit.ops) {
           const OpNode& op = graph.op(op_id);
-          const ConcreteStrategy* strat = nullptr;
-          if (choice != kReplicatedExec) {
-            strat = &base_ctx.Strategies(op_id)[static_cast<size_t>(choice)];
-            if (!options.allow_reduction_strategies && strat->is_reduction) {
-              return kInf;
-            }
-          }
+          const ConcreteStrategy* strat =
+              choice == kReplicatedExec
+                  ? nullptr
+                  : &base_ctx.Strategies(op_id)[static_cast<size_t>(choice)];
           for (size_t i = 0; i < op.inputs.size(); ++i) {
             const TensorId t = op.inputs[i];
             const Tiling& tiling = tiling_of(t);
@@ -183,8 +174,7 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
     return total;
   };
 
-  // Frontier DP over groups on the shared engine (streamed: the per-state joint
-  // enumeration below is the faithful reproduction of the blown-up search).
+  // Frontier DP over groups on the shared engine.
   SearchSpace space;
   space.slot_num_options.resize(static_cast<size_t>(num_slots));
   for (int s = 0; s < num_slots; ++s) {
@@ -195,87 +185,72 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
   for (const MacroGroup& group : coarse.groups) {
     space.group_slots.push_back(group.touched_slots);
   }
-  // A flat option is a whole multi-step tiling, so each slot's FINAL per-worker bytes
-  // are known per option and the budget prunes directly (step-wise ceil division,
-  // matching ApplyBasicPlan's rounding).
-  if (options.memory_budget_bytes > 0) {
-    space.slot_option_bytes.resize(static_cast<size_t>(num_slots));
-    for (int s = 0; s < num_slots; ++s) {
-      const TensorSlot& slot = coarse.slots[static_cast<size_t>(s)];
-      for (const Tiling& tiling : slot_tilings[static_cast<size_t>(s)]) {
-        double total = 0.0;
-        for (TensorId t : slot.members) {
-          total += ShardBytesForTiling(graph.tensor(t).shape,
-                                       graph.tensor(t).elem_size, tiling, factors);
-        }
-        space.slot_option_bytes[static_cast<size_t>(s)].push_back(total);
-      }
-    }
-  }
 
+  // Group table fill: walks the group's cells in the engine's canonical order (last
+  // touched slot fastest) and writes each cell's cheapest joint choice of its units'
+  // strategy sequences -- the per-group enumeration Table 1 measures, one configuration
+  // at a time. Polls the deadline every 4096 configurations and stops the search once it
+  // has passed.
   std::vector<const Tiling*> tiling_of_slot(static_cast<size_t>(num_slots), nullptr);
   std::int64_t since_deadline_check = 0;
-  bool deadline_hit = false;
-
-  SearchEngine::StateCostFn state_cost_fn = [&](int g, const int* opts, double* out) {
+  SearchEngine::GroupFillFn fill_fn = [&](int g, const std::vector<int>& num_options,
+                                          double* cells, std::int64_t num_cells) {
     const MacroGroup& group = coarse.groups[static_cast<size_t>(g)];
-    for (size_t i = 0; i < group.touched_slots.size(); ++i) {
-      const int slot = group.touched_slots[i];
-      tiling_of_slot[static_cast<size_t>(slot)] =
-          &slot_tilings[static_cast<size_t>(slot)][static_cast<size_t>(opts[i])];
-    }
+    const std::vector<int>& touched = group.touched_slots;
+    const int k = static_cast<int>(touched.size());
     const size_t num_units = group.units.size();
+    std::vector<int> opts(static_cast<size_t>(k), 0);
     std::vector<size_t> odo(num_units, 0);
     std::vector<const std::vector<int>*> seqs(num_units, nullptr);
-    double best = num_units == 0 ? 0.0 : kInf;
-    bool done = num_units == 0;
-    while (!done) {
-      for (size_t ui = 0; ui < num_units; ++ui) {
-        seqs[ui] = &unit_seqs[static_cast<size_t>(group.units[ui])][odo[ui]];
+    for (std::int64_t idx = 0; idx < num_cells; ++idx) {
+      for (int i = 0; i < k; ++i) {
+        const size_t slot = static_cast<size_t>(touched[static_cast<size_t>(i)]);
+        const size_t option = static_cast<size_t>(opts[static_cast<size_t>(i)]);
+        tiling_of_slot[slot] = &slot_tilings[slot][option];
       }
-      best = std::min(best, group_config_cost(group, tiling_of_slot, seqs));
-      result.configs_evaluated += 1.0;
-      if (++since_deadline_check >= 4096) {
-        since_deadline_check = 0;
-        if (Clock::now() > deadline) {
-          deadline_hit = true;
-          return false;
+      double best = kInf;
+      for (bool done = false; !done;) {  // odometer over the units' sequences
+        for (size_t ui = 0; ui < num_units; ++ui) {
+          seqs[ui] = &unit_seqs[static_cast<size_t>(group.units[ui])][odo[ui]];
         }
+        best = std::min(best, group_config_cost(group, tiling_of_slot, seqs));
+        result.configs_evaluated += 1.0;
+        if (++since_deadline_check >= 4096) {
+          since_deadline_check = 0;
+          if (Clock::now() > deadline) {
+            return false;
+          }
+        }
+        size_t pos = 0;
+        while (pos < num_units) {
+          if (++odo[pos] < unit_seqs[static_cast<size_t>(group.units[pos])].size()) {
+            break;
+          }
+          odo[pos] = 0;
+          ++pos;
+        }
+        done = pos == num_units;
       }
-      // Advance odometer.
-      size_t pos = 0;
-      while (pos < num_units) {
-        if (++odo[pos] < unit_seqs[static_cast<size_t>(group.units[pos])].size()) {
+      cells[idx] = best;
+      for (int i = k - 1; i >= 0; --i) {
+        if (++opts[static_cast<size_t>(i)] < num_options[static_cast<size_t>(i)]) {
           break;
         }
-        odo[pos] = 0;
-        ++pos;
+        opts[static_cast<size_t>(i)] = 0;
       }
-      done = pos == num_units;
     }
-    *out = best;
     return true;
   };
 
   // No state cap here: the flat search either completes exactly or times out.
   SearchEngineOptions engine_options;
   engine_options.max_states = std::numeric_limits<std::int64_t>::max() / 2;
-  engine_options.memory_budget = static_cast<double>(options.memory_budget_bytes);
   SearchEngine engine(std::move(space), engine_options);
-  SearchEngine::Result search = engine.RunStreamed(state_cost_fn);
-  result.search_stats = search.stats;
-  result.min_possible_bytes = search.min_possible_bytes;
+  SearchEngine::Result search = engine.Run(fill_fn);
 
   result.elapsed_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  if (!search.feasible) {
-    result.feasible = false;
-    result.completed = true;  // nothing left to search: infeasibility is a full answer
-    return result;
-  }
   if (!search.completed) {
-    TOFU_CHECK(deadline_hit);
-    result.completed = false;
     result.projected_seconds = result.configs_evaluated > 0
                                    ? result.elapsed_seconds * result.configs_total /
                                          result.configs_evaluated
@@ -292,7 +267,6 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
   PartitionPlan plan;
   plan.num_workers = options.num_workers;
   plan.step_factors = factors;
-  plan.memory_budget_bytes = options.memory_budget_bytes;
   StepFold fold(graph, &plan);
   for (size_t step = 0; step < m; ++step) {
     BasicPlan bp;
@@ -305,7 +279,7 @@ FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
               slot_choice[static_cast<size_t>(slot)])][step];
     }
     StepContext ctx(graph, fold.shapes(), bp.ways);
-    AssignGreedyOpStrategies(&ctx, &bp, options.allow_reduction_strategies);
+    AssignGreedyOpStrategies(&ctx, &bp);
     bp.peak_shard_bytes = StepResidentBytes(
         graph, bp.tensor_cut, bp.ways,
         [&ctx](TensorId t) -> const Shape& { return ctx.shape(t); });

@@ -7,46 +7,36 @@
 // against the recursive algorithm in tests); large graphs report the enumerated share and
 // a projected completion time, which is what bench_table1_search prints.
 //
-// The frontier mechanics are the shared engine of partition/search_engine.h in streamed
-// mode: the per-state joint enumeration below IS the measured blow-up, so group costs are
-// charged one state at a time instead of through precomputed tables.
+// The frontier mechanics are the shared engine of partition/search_engine.h: each
+// group's dense cost table holds, per combination of its slots' tilings, the minimum over
+// its units' joint strategy sequences. Every configuration is therefore costed exactly
+// once, so a completed search evaluates configs_total configurations -- Table 1's count.
 #ifndef TOFU_PARTITION_FLAT_DP_H_
 #define TOFU_PARTITION_FLAT_DP_H_
 
 #include "tofu/partition/coarsen.h"
 #include "tofu/partition/plan.h"
-#include "tofu/partition/search_stats.h"
 
 namespace tofu {
 
 struct FlatDpOptions {
   int num_workers = 8;
   double time_budget_seconds = 5.0;
-  bool allow_reduction_strategies = true;
-  // Per-worker resident-byte budget (0 = unconstrained). The flat search's options are
-  // whole multi-step tilings, so the final per-worker residency of each slot is known
-  // per option and the budget applies directly (no per-step relaxation as in the
-  // recursion): tilings that cannot fit are pruned, and `feasible` turns false when
-  // even the lightest joint tiling overflows.
-  std::int64_t memory_budget_bytes = 0;
 };
 
 struct FlatDpResult {
   bool completed = false;
-  // False when memory_budget_bytes excluded every tiling (nothing was searched);
-  // min_possible_bytes then reports the unbeatable per-worker lower bound.
-  bool feasible = true;
-  double min_possible_bytes = 0.0;
-  PartitionPlan plan;  // meaningful only when completed && feasible
+  PartitionPlan plan;  // meaningful only when completed
   double elapsed_seconds = 0.0;
-  // Joint group configurations actually costed vs. the full count the run would need.
+  // Joint group configurations actually costed vs. the full count the run would need
+  // (equal when completed).
   double configs_evaluated = 0.0;
   double configs_total = 0.0;
   double projected_seconds = 0.0;  // elapsed scaled to the full count (when incomplete)
-  // Engine-level effort (per-state charge counts; no cost tables in streamed mode).
-  SearchStats search_stats;
 };
 
+// num_workers <= 1 returns the trivial single-worker plan, completed, as
+// RecursivePartition does.
 FlatDpResult RunFlatDp(const Graph& graph, const CoarseGraph& coarse,
                        const FlatDpOptions& options);
 

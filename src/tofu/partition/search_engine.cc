@@ -124,23 +124,23 @@ struct SearchEngine::Impl {
     return capped;
   }
 
-  Result RunImpl(const GroupFillFn* fill_fn, const StateCostFn* stream_fn) {
+  Result Run(const GroupFillFn& fill_fn) {
     if (max_static_width <= options.max_states) {
-      return Sweep(space, fill_fn, stream_fn, options.reuse_tables.get());
+      return Sweep(space, fill_fn, options.reuse_tables.get());
     }
     TOFU_LOG(Warning) << "search frontier of " << max_static_width << " states exceeds "
                       << options.max_states
                       << "; searching a capped option subset (plan approximate)";
     // The capped space has smaller option counts than any cached tables cover, so its
     // tables are filled fresh (at the capped counts) and none are exported.
-    Result result = Sweep(CappedSpace(), fill_fn, stream_fn, nullptr);
+    Result result = Sweep(CappedSpace(), fill_fn, nullptr);
     result.tables = nullptr;
     result.stats.exact = false;
     return result;
   }
 
-  Result Sweep(const SearchSpace& sp, const GroupFillFn* fill_fn,
-               const StateCostFn* stream_fn, const GroupCostTables* reuse);
+  Result Sweep(const SearchSpace& sp, const GroupFillFn& fill_fn,
+               const GroupCostTables* reuse);
   std::shared_ptr<GroupCostTables> FillOrImportAllTables(
       const SearchSpace& sp, const GroupFillFn& fill_fn, const GroupCostTables* reuse,
       std::vector<std::vector<std::int64_t>>* strides, Result* result);
@@ -152,17 +152,15 @@ SearchEngine::SearchEngine(SearchSpace space, SearchEngineOptions options)
 SearchEngine::~SearchEngine() = default;
 
 SearchEngine::Result SearchEngine::Run(const GroupFillFn& fill_fn) {
-  return impl_->RunImpl(&fill_fn, nullptr);
-}
-
-SearchEngine::Result SearchEngine::RunStreamed(const StateCostFn& cost_fn) {
-  return impl_->RunImpl(nullptr, &cost_fn);
+  return impl_->Run(fill_fn);
 }
 
 // Hoisted table fills: every group's dense cost table is computed (or imported from
 // `reuse`) before the sweep begins, in the engine's canonical mixed-radix order (last
 // touched slot fastest). Hoisting is what enables dominated-option pruning (the
-// analysis needs every table touching a slot) and table reuse across searches.
+// analysis needs every table touching a slot) and table reuse across searches. Returns
+// null as soon as a fill stops the search; neither that group nor any later one is
+// counted.
 std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
     const SearchSpace& sp, const GroupFillFn& fill_fn, const GroupCostTables* reuse,
     std::vector<std::vector<std::int64_t>>* strides, Result* result) {
@@ -192,7 +190,10 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
       result->stats.reused_table_entries += cells;
     } else {
       auto fresh = std::make_shared<std::vector<double>>(static_cast<size_t>(cells));
-      fill_fn(g, num_options, fresh->data(), cells);
+      if (!fill_fn(g, num_options, fresh->data(), cells)) {
+        result->stats.fill_seconds += SecondsSince(t0);
+        return nullptr;
+      }
       tables->groups[static_cast<size_t>(g)] = std::move(fresh);
     }
     // Imported cells count exactly like computed ones: these counters are a property
@@ -213,8 +214,7 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
 // When several slots leave at one group the NEWEST axis is projected first.
 // docs/search.md ("Equal-cost tie-breaking") spells out the resulting rule.
 SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
-                                               const GroupFillFn* fill_fn,
-                                               const StateCostFn* stream_fn,
+                                               const GroupFillFn& fill_fn,
                                                const GroupCostTables* reuse) {
   const auto start = Clock::now();
   const int num_slots = static_cast<int>(sp.slot_num_options.size());
@@ -258,12 +258,15 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
   result.stats.max_frontier_states = max_static_width;
 
   std::vector<std::vector<std::int64_t>> group_stride;
-  std::shared_ptr<GroupCostTables> tables;
-  if (fill_fn != nullptr) {
-    tables = FillOrImportAllTables(sp, *fill_fn, reuse, &group_stride, &result);
+  std::shared_ptr<GroupCostTables> tables =
+      FillOrImportAllTables(sp, fill_fn, reuse, &group_stride, &result);
+  if (tables == nullptr) {
+    result.completed = false;
+    result.stats.wall_seconds = SecondsSince(start);
+    return result;
   }
 
-  // Dominated-option pruning (unbudgeted table mode). Option o of slot s is dominated
+  // Dominated-option pruning (unbudgeted searches). Option o of slot s is dominated
   // by o' < o when o' is pointwise <= in EVERY group table touching s and (with byte
   // tables) no heavier: then for every frontier state using o, the sibling state using
   // o' is no worse on both cost and bytes under every completion, so dropping o can
@@ -284,7 +287,7 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
       kept[static_cast<size_t>(s)][static_cast<size_t>(o)] = o;
     }
   }
-  if (tables != nullptr && options.prune_dominated && !track) {
+  if (options.prune_dominated && !track) {
     // Slot -> (group, position in the group's touched list) adjacency.
     std::vector<std::vector<std::pair<int, int>>> slot_groups(
         static_cast<size_t>(num_slots));
@@ -354,7 +357,7 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
   std::vector<std::shared_ptr<const std::vector<double>>> charge_table(
       static_cast<size_t>(num_groups));
   std::vector<std::vector<std::int64_t>> charge_stride(static_cast<size_t>(num_groups));
-  if (tables != nullptr) {
+  {
     const auto t0 = Clock::now();
     for (int g = 0; g < num_groups; ++g) {
       const std::vector<int>& touched = sp.group_slots[static_cast<size_t>(g)];
@@ -442,7 +445,6 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
     rank.assign(1, 0);
   }
   std::vector<std::int64_t> shard_pruned(static_cast<size_t>(pool.num_threads()));
-  std::vector<int> opts_buffer;  // decoded option indices handed to streamed callbacks
 
   for (int g = 0; g < num_groups; ++g) {
     const std::vector<int>& touched = sp.group_slots[static_cast<size_t>(g)];
@@ -521,51 +523,12 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
       result.stats.expand_seconds += SecondsSince(t0);
     }
 
-    // 2. Charge the group's cost to every cell.
-    if (stream_fn != nullptr) {
-      // Streamed: the callback's own enumeration is the measured cost; keep it serial,
-      // in lattice index order, and skip dead cells. Streamed searches prune no
-      // options, so a coordinate is its option index (fixed slots: option 0).
-      const auto t0 = Clock::now();
-      std::vector<int> touched_axis;
-      for (int s : touched) {
-        touched_axis.push_back(axis_of_slot[static_cast<size_t>(s)]);
-      }
-      opts_buffer.assign(touched.size(), 0);
-      std::vector<int> coord(axes.size(), 0);
-      bool aborted = false;
-      for (size_t i = 0; i < cost.size() && !aborted; ++i) {
-        if (!track || bytes[i] != kDead) {
-          for (size_t t = 0; t < touched_axis.size(); ++t) {
-            opts_buffer[t] = touched_axis[t] >= 0 ? coord[static_cast<size_t>(touched_axis[t])] : 0;
-          }
-          double c = 0.0;
-          if ((*stream_fn)(g, opts_buffer.data(), &c)) {
-            cost[i] += c;
-            ++result.stats.states_explored;
-          } else {
-            aborted = true;
-          }
-        }
-        for (int j = static_cast<int>(axes.size()) - 1; j >= 0; --j) {
-          if (++coord[static_cast<size_t>(j)] < axes[static_cast<size_t>(j)].size) {
-            break;
-          }
-          coord[static_cast<size_t>(j)] = 0;
-        }
-      }
-      result.stats.charge_seconds += SecondsSince(t0);
-      if (aborted) {
-        result.completed = false;
-        result.stats.wall_seconds = SecondsSince(start);
-        return result;
-      }
-    } else {
-      // Table mode: one table value per combination of the touched axes' coordinates,
-      // added to the contiguous run the untouched faster axes span. The gather reads
-      // the COMPACT kept-only table: a kept coordinate maps straight to a table index
-      // via the compact stride (fixed slots have compact dimension one and contribute
-      // nothing), so dominated options are never gathered.
+    // 2. Charge the group's cost to every cell: one table value per combination of the
+    // touched axes' coordinates, added to the contiguous run the untouched faster axes
+    // span. The gather reads the COMPACT kept-only table: a kept coordinate maps
+    // straight to a table index via the compact stride (fixed slots have compact
+    // dimension one and contribute nothing), so dominated options are never gathered.
+    {
       const auto t0 = Clock::now();
       const std::vector<double>& table = *charge_table[static_cast<size_t>(g)];
       const std::vector<std::int64_t>& stride = charge_stride[static_cast<size_t>(g)];

@@ -11,16 +11,16 @@
 // The engine owns that skeleton once, as a DENSE LATTICE: the frontier is one flat cost
 // array whose axes are the live slots in branch order (newest axis fastest), exactly the
 // cross product of the live slots' options. Branching is a contiguous broadcast,
-// charging a table-mode group is a gather from the group's dense cost table (one
-// evaluation per combination of its touched slots' options, all filled before the sweep)
-// plus a contiguous vector add, and projection is a strict-less min-reduce along one
-// axis. Hoisting the fills is what enables dominated-option pruning and table reuse
-// across searches (GroupCostTables below).
+// charging a group is a gather from the group's dense cost table (one evaluation per
+// combination of its touched slots' options, all filled before the sweep) plus a
+// contiguous vector add, and projection is a strict-less min-reduce along one axis.
+// Hoisting the fills is what enables dominated-option pruning and table reuse across
+// searches (GroupCostTables below). A fill may stop the search (the flat DP's
+// wall-clock budget); the sweep then never runs.
 //
 // A memory budget adds a parallel bytes array: cells whose bytes cannot fit the budget
 // under any completion are dead (+inf cost), and projections prefer lighter cells on
-// cost ties. Streamed searches call their cost callback once per live cell, serially in
-// lattice index order.
+// cost ties.
 //
 // Branching, charging and projection can be sharded across a small thread pool
 // (SearchEngineOptions::num_threads, 0 = auto-size from hardware_concurrency). Sharding
@@ -52,7 +52,7 @@ struct SearchSpace {
   std::vector<std::vector<double>> slot_option_bytes;
 };
 
-// Per-group dense cost tables of one table-mode search, shareable across searches of
+// Per-group dense cost tables of one search, shareable across searches of
 // the same space (the values depend only on the group cost function, never on budgets,
 // bandwidths, or thread counts). groups[g] holds exactly group g's mixed-radix cell
 // values in the engine's canonical enumeration order. Immutable once published -- safe
@@ -66,14 +66,15 @@ struct SearchEngineOptions {
   // the schedule's frontier width exceeds it, each entering slot (in schedule order)
   // keeps only its lowest-index max(1, max_states / width) options, width being the
   // capped frontier it enters; the search fills its tables at the subset's option
-  // counts, imports and exports none, and reports SearchStats::exact false.
+  // counts, imports and exports none, and reports SearchStats::exact false. The cap
+  // bounds the frontier width only, not the fill work of the group tables under it.
   std::int64_t max_states = 1 << 22;
   // Threads for state expansion (branch/charge/project sharding). 0 (the default)
   // auto-sizes from std::thread::hardware_concurrency(); 1 = serial. Any value yields
-  // byte-identical results. Cost callbacks are never called concurrently regardless of
-  // this setting.
+  // byte-identical results. Fills are never called concurrently regardless of this
+  // setting.
   int num_threads = 0;
-  // Dominated-option pruning (unbudgeted table-mode searches only): after the hoisted
+  // Dominated-option pruning (unbudgeted searches only): after the hoisted
   // table fills, option o of slot s is dropped when some option o' < o is pointwise no
   // more expensive in EVERY group table touching s and (when slot_option_bytes is
   // present) no heavier. Every frontier state using o is then beaten by its o'-sibling on both
@@ -99,26 +100,21 @@ struct SearchEngineOptions {
 
 class SearchEngine {
  public:
-  // Table mode: writes group `g`'s whole dense cost table (`num_cells` doubles) in the
-  // engine's canonical mixed-radix enumeration order -- combination (o_0,...,o_{k-1})
-  // of SearchSpace::group_slots[g] at index sum(o_i * stride_i), last touched slot
-  // fastest (stride 1). `num_options[i]` is the option count of group_slots[g][i] in
-  // the space being filled: the full count, or a capped search's lowest-index prefix
-  // of it (SearchEngineOptions::max_states), so option i names the same choice in both
-  // and the cell values never depend on which one is filled.
-  using GroupFillFn = std::function<void(int group, const std::vector<int>& num_options,
+  // Writes group `g`'s whole dense cost table (`num_cells` doubles) in the engine's
+  // canonical mixed-radix enumeration order -- combination (o_0,...,o_{k-1}) of
+  // SearchSpace::group_slots[g] at index sum(o_i * stride_i), last touched slot fastest
+  // (stride 1). `num_options[i]` is the option count of group_slots[g][i] in the space
+  // being filled: the full count, or a capped search's lowest-index prefix of it
+  // (SearchEngineOptions::max_states), so option i names the same choice in both and the
+  // cell values never depend on which one is filled. Returns false to stop the whole
+  // search (deadline exceeded): no later group is filled and the sweep never runs.
+  using GroupFillFn = std::function<bool(int group, const std::vector<int>& num_options,
                                          double* cells, std::int64_t num_cells)>;
 
-  // Streamed mode: called once per (group, live lattice cell), serially in lattice
-  // index order -- preserving searches whose measured cost is intentionally per-state,
-  // like the flat DP's joint enumeration. Returns false to abort the whole search
-  // (deadline exceeded).
-  using StateCostFn = std::function<bool(int group, const int* options, double* cost)>;
-
   struct Result {
-    bool completed = true;          // false only when a streamed search aborted
+    bool completed = true;          // false only when a fill stopped the search
     // False when a memory budget excluded every assignment (the lightest possible
-    // choice per slot already overflows -- then no cost callback ran -- or, in a capped
+    // choice per slot already overflows -- then no fill ran -- or, in a capped
     // search, every assignment of the option subset does); slot_option is then all
     // zeros. Always true without a budget.
     bool feasible = true;
@@ -132,8 +128,8 @@ class SearchEngine {
     double best_bytes = 0.0;
     double min_possible_bytes = 0.0;
     // Every dense cost table this search consumed (filled or imported); null in
-    // streamed mode, capped searches, and searches proved infeasible up front. What a
-    // step-table cache stores for the next search of this space.
+    // stopped searches, capped searches, and searches proved infeasible up front. What
+    // a step-table cache stores for the next search of this space.
     std::shared_ptr<const GroupCostTables> tables;
     SearchStats stats;
   };
@@ -142,7 +138,6 @@ class SearchEngine {
   ~SearchEngine();
 
   Result Run(const GroupFillFn& fill_fn);
-  Result RunStreamed(const StateCostFn& cost_fn);
 
  private:
   struct Impl;

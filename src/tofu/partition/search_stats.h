@@ -1,6 +1,5 @@
-// Instrumentation of one partition search, surfaced through DpResult, FlatDpResult and
-// PartitionPlan so benchmarks and tests can assert on search effort, not just on the
-// resulting plan.
+// Instrumentation of one partition search, surfaced through DpResult and PartitionPlan
+// so benchmarks and tests can assert on search effort, not just on the resulting plan.
 #ifndef TOFU_PARTITION_SEARCH_STATS_H_
 #define TOFU_PARTITION_SEARCH_STATS_H_
 
@@ -10,21 +9,21 @@
 namespace tofu {
 
 struct SearchStats {
-  // Group-cost evaluations the search REQUIRED: every dense cost-table cell in table
-  // mode (whether the cells were computed this run or imported from a step-table cache
-  // -- see reused_table_entries; budgeted searches fill the same full tables), one
-  // callback invocation per live lattice cell per group in streamed mode.
-  // Deterministic for a given search space, independent of cache temperature, thread
-  // count, and dominance pruning, which is what lets plan serializations stay
-  // byte-identical across warm and cold searches.
+  // Group-cost evaluations the search REQUIRED: every dense cost-table cell (whether
+  // the cells were computed this run or imported from a step-table cache -- see
+  // reused_table_entries; budgeted searches fill the same full tables). Deterministic
+  // for a given search space, independent of cache temperature, thread count, and
+  // dominance pruning, which is what lets plan serializations stay byte-identical
+  // across warm and cold searches. A search a fill stopped counts only the groups
+  // filled before it.
   std::int64_t states_explored = 0;
   // Peak number of simultaneous DP states the SCHEDULE defines over the full option
   // counts (the frontier blow-up the state cap guards), for every search. Neither
   // dominance pruning nor budget pruning nor the cap lowers this figure; dominated
   // states are reported separately in dominated_pruned_states.
   std::int64_t max_frontier_states = 0;
-  // Total cells across all per-group cost tables the search consumed (0 in streamed
-  // mode). Computed-or-imported, like states_explored.
+  // Total cells across all per-group cost tables the search consumed.
+  // Computed-or-imported, like states_explored.
   std::int64_t cost_table_entries = 0;
   // Lattice cells killed at branch time because their resident bytes -- plus the
   // cheapest possible choices for every slot not yet decided -- already exceeded the

@@ -46,6 +46,7 @@ SearchEngine::Result RunCells(SearchEngine& engine, const CellCostFn& cell_fn) {
         options[static_cast<size_t>(i)] = 0;
       }
     }
+    return true;
   });
 }
 
@@ -302,6 +303,7 @@ TEST(SearchEngineUnit, OverCapGroupIsChargedOnTheCappedSubset) {
                        std::int64_t num_cells) {
     counts = num_options;
     std::fill(cells, cells + num_cells, 0.0);
+    return true;
   });
   EXPECT_EQ(counts, (std::vector<int>{2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
 }
@@ -555,21 +557,22 @@ TEST(SearchEngineReuse, ImportedTablesAreCountedAndChangeNothing) {
   EXPECT_EQ(warm.stats.cost_table_entries, cold.stats.cost_table_entries);
 }
 
-TEST(SearchEngineUnit, StreamedModeAborts) {
+TEST(SearchEngineUnit, FillThatReturnsFalseStopsTheSearch) {
   SearchSpace space;
-  space.slot_num_options = {2, 2};
-  space.group_slots = {{0}, {1}};
+  space.slot_num_options = {2, 2, 2};
+  space.group_slots = {{0}, {0, 1}, {1, 2}};
   SearchEngine engine(std::move(space), {});
-  int calls = 0;
-  SearchEngine::Result res =
-      engine.RunStreamed([&calls](int, const int*, double* cost) {
-        if (++calls > 2) {
-          return false;
-        }
-        *cost = 1.0;
-        return true;
+  std::vector<int> filled;
+  SearchEngine::Result res = engine.Run(
+      [&filled](int group, const std::vector<int>&, double* cells, std::int64_t num_cells) {
+        filled.push_back(group);
+        std::fill(cells, cells + num_cells, 1.0);
+        return group != 1;
       });
   EXPECT_FALSE(res.completed);
+  EXPECT_EQ(res.tables, nullptr);
+  EXPECT_EQ(filled, (std::vector<int>{0, 1}));  // no fill runs after the stop
+  EXPECT_EQ(res.stats.states_explored, 2);      // only the completed group counts
 }
 
 TEST(SearchEngineUnit, WideSlotWinnersPastByteRange) {
@@ -582,16 +585,9 @@ TEST(SearchEngineUnit, WideSlotWinnersPastByteRange) {
   };
   SearchEngine engine(std::move(space), {});
   SearchEngine::Result table = RunCells(engine, cost);
-  SearchEngine::Result streamed = engine.RunStreamed([&](int g, const int* o, double* c) {
-    *c = cost(g, o);
-    return true;
-  });
-  for (const SearchEngine::Result* res : {&table, &streamed}) {
-    EXPECT_TRUE(res->completed);
-    EXPECT_DOUBLE_EQ(res->best_cost, 0.0);
-    EXPECT_EQ(res->slot_option, (std::vector<int>{257, 1}));
-  }
-  EXPECT_EQ(streamed.stats.states_explored, 300 + 600);  // one call per cell per group
+  EXPECT_TRUE(table.completed);
+  EXPECT_DOUBLE_EQ(table.best_cost, 0.0);
+  EXPECT_EQ(table.slot_option, (std::vector<int>{257, 1}));
 }
 
 TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
@@ -640,8 +636,8 @@ TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
 }
 
 // ------------------------------------------------------ exhaustive oracle
-// Seeded tiny spaces checked against brute force over every assignment, in table and
-// streamed mode at 1 and 4 threads. Without a binding budget the sweep is an exact DP,
+// Seeded tiny spaces checked against brute force over every assignment, at 1 and 4
+// threads. Without a binding budget the sweep is an exact DP,
 // and its tie-break is pinned: minimize cost (then bytes when budgeted), and among
 // equal optima take the lexicographically smallest assignment comparing slots in the
 // REVERSE of the projection sequence (slots branch in group order, ascending id within
@@ -814,33 +810,26 @@ TEST(SearchEngineOracle, MatchesExhaustiveSearchOnTinySpaces) {
         options.memory_budget = budget;
         options.prune_dominated = seed % 2 == 0;
         SearchEngine engine(t.space, options);
-        SearchEngine::Result table =
+        const SearchEngine::Result table =
             RunCells(engine, [&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
-        SearchEngine::Result streamed = engine.RunStreamed([&t](int g, const int* o, double* c) {
-          *c = TinyGroupCost(t, g, o);
-          return true;
-        });
-        for (const SearchEngine::Result* res : {&table, &streamed}) {
-          const std::string where = "seed " + std::to_string(seed) + " budget " +
-                                    std::to_string(budget) + " threads " +
-                                    std::to_string(threads) +
-                                    (res == &table ? " table" : " streamed");
-          ASSERT_TRUE(res->completed) << where;
-          ASSERT_EQ(res->feasible, best != nullptr) << where;
-          if (best == nullptr) {
-            continue;
-          }
-          const std::pair<double, double> got = TinyEvaluate(t, res->slot_option);
-          EXPECT_DOUBLE_EQ(res->best_cost, got.first) << where;
-          if (budget > 0.0) {
-            EXPECT_DOUBLE_EQ(res->best_bytes, got.second) << where;
-            EXPECT_LE(res->best_bytes, budget) << where;
-          }
-          if (exact_rules) {
-            EXPECT_EQ(res->slot_option, *best) << where;
-          } else {
-            EXPECT_GE(res->best_cost, best_eval.first) << where;
-          }
+        const std::string where = "seed " + std::to_string(seed) + " budget " +
+                                  std::to_string(budget) + " threads " +
+                                  std::to_string(threads);
+        ASSERT_TRUE(table.completed) << where;
+        ASSERT_EQ(table.feasible, best != nullptr) << where;
+        if (best == nullptr) {
+          continue;
+        }
+        const std::pair<double, double> got = TinyEvaluate(t, table.slot_option);
+        EXPECT_DOUBLE_EQ(table.best_cost, got.first) << where;
+        if (budget > 0.0) {
+          EXPECT_DOUBLE_EQ(table.best_bytes, got.second) << where;
+          EXPECT_LE(table.best_bytes, budget) << where;
+        }
+        if (exact_rules) {
+          EXPECT_EQ(table.slot_option, *best) << where;
+        } else {
+          EXPECT_GE(table.best_cost, best_eval.first) << where;
         }
       }
     }

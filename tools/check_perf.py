@@ -19,6 +19,11 @@ Fails (exit 1) when:
     are deterministic, so any change means the search semantics changed without
     re-recording the baseline;
   * the plan's communication bytes changed at all (same reasoning);
+  * a Table 1 row's flat search space drifted: flat_configs_total, the joint
+    configuration count of the flat "DP with coarsening", is a deterministic function
+    of the coarsened graph and the worker count, so it must equal the baseline exactly
+    (the flat search's evaluated count and projection depend on host speed and are not
+    gated);
   * the unconstrained plan itself drifted: plan_digest is an FNV-1a fingerprint of the
     normalized plan JSON (cuts, strategies, costs, per-step peaks -- everything but the
     search wall time), so the gate catches a changed plan even when its comm total
@@ -250,6 +255,15 @@ def main() -> int:
                     "baseline if intentional)"
                 )
                 failed = True
+        if "flat_configs_total" in base and row.get("flat_configs_total") != base[
+            "flat_configs_total"
+        ]:
+            print(
+                f"FAIL  {row['model']}: flat_configs_total {row.get('flat_configs_total')} "
+                f"!= baseline {base['flat_configs_total']} (the flat search space "
+                "drifted; re-record the baseline if intentional)"
+            )
+            failed = True
         if row["recursive_comm_bytes"] != base["recursive_comm_bytes"]:
             print(
                 f"FAIL  {row['model']}: comm bytes {row['recursive_comm_bytes']} != "
