@@ -49,20 +49,17 @@ void BM_Coarsen(benchmark::State& state) {
 }
 BENCHMARK(BM_Coarsen);
 
-// One DP step through the dense-lattice search engine; Arg = DpOptions::num_threads
-// (sharded state expansion; plans are byte-identical across thread counts).
+// One DP step through the dense-lattice search engine.
 void BM_DpStep(benchmark::State& state) {
   ModelGraph model = BenchMlp();
   CoarseGraph cg = Coarsen(model.graph);
-  DpOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     StepContext ctx(model.graph, StepContext::InitialShapes(model.graph), 2);
-    DpResult dp = RunStepDp(&ctx, cg, options);
+    DpResult dp = RunStepDp(&ctx, cg, DpOptions{});
     benchmark::DoNotOptimize(dp.plan.comm_bytes);
   }
 }
-BENCHMARK(BM_DpStep)->Arg(1)->Arg(4);
+BENCHMARK(BM_DpStep);
 
 // Per-phase attribution of one big many-worker search (the dense-lattice engine
 // path): SearchStats splits the engine's wall time into cost-table fill, state
@@ -131,7 +128,7 @@ void BM_RecursivePartitionMlp8(benchmark::State& state) {
 }
 BENCHMARK(BM_RecursivePartitionMlp8);
 
-// Full recursive search; Arg = engine threads. Also reports the engine's own wall time
+// Full recursive search. Also reports the engine's own wall time
 // and cost-evaluation count through SearchStats counters.
 void BM_RecursivePartitionWResNet50(benchmark::State& state) {
   WResNetConfig config;
@@ -139,12 +136,10 @@ void BM_RecursivePartitionWResNet50(benchmark::State& state) {
   config.width = 4;
   config.batch = 32;
   ModelGraph model = BuildWResNet(config);
-  PartitionOptions options;
-  options.dp.num_threads = static_cast<int>(state.range(0));
   double engine_seconds = 0.0;
   std::int64_t evals = 0;
   for (auto _ : state) {
-    PartitionPlan plan = RecursivePartition(model.graph, 8, options);
+    PartitionPlan plan = RecursivePartition(model.graph, 8);
     engine_seconds += plan.search_stats.wall_seconds;
     evals += plan.search_stats.states_explored;
     benchmark::DoNotOptimize(plan.total_comm_bytes);
@@ -154,7 +149,7 @@ void BM_RecursivePartitionWResNet50(benchmark::State& state) {
   state.counters["cost_evals"] =
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_RecursivePartitionWResNet50)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecursivePartitionWResNet50)->Unit(benchmark::kMillisecond);
 
 // One Session::Partition cache hit on a big graph; Arg picks it: 0 = WResNet-152-10,
 // 1 = RNN-10-8K, 2 = Transformer-48 (the search-cold graphs), all at 8 uniform workers.

@@ -235,7 +235,7 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
   const std::string key = CacheKey(request);
 
   // Fast path: a completed identical request left its response in the cache.
-  if (std::optional<PartitionResponse> cached = cache_.Lookup(key)) {
+  if (std::optional<CachedPlan> cached = cache_.Lookup(key)) {
     if (std::optional<Result<PartitionResponse>> hit =
             ServeHit(request, *std::move(cached))) {
       return *std::move(hit);
@@ -276,7 +276,7 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
   // leader may have completed and retired -- its result is in the cache now. Serving it
   // keeps misses == distinct searches (and the response byte-identical either way).
   Result<PartitionResponse> result = [&]() -> Result<PartitionResponse> {
-    if (std::optional<PartitionResponse> raced = cache_.Lookup(key)) {
+    if (std::optional<CachedPlan> raced = cache_.Lookup(key)) {
       if (std::optional<Result<PartitionResponse>> hit =
               ServeHit(request, *std::move(raced))) {
         return *std::move(hit);
@@ -293,19 +293,17 @@ Result<PartitionResponse> Session::Partition(const PartitionRequest& request) {
 }
 
 std::optional<Result<PartitionResponse>> Session::ServeHit(const PartitionRequest& request,
-                                                          PartitionResponse cached) {
-  const Graph& graph = *request.graph;
-  if (!ValidatePlanForGraph(graph, cached.plan).ok()) {
+                                                          CachedPlan cached) {
+  if (!ValidatePlanForGraph(*request.graph, cached.response.plan).ok()) {
     return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   // The budget is part of the key, so a hit was searched under this exact budget and
-  // the verdict below merely repeats what the insertion-time check concluded (an
-  // infeasible request fails fast here without re-searching).
-  TOFU_RETURN_IF_ERROR(BudgetCheck(graph, cached, request.memory_budget_bytes,
-                                   topology_.memory_bytes_per_worker));
-  cached.from_cache = true;
-  return Result<PartitionResponse>(std::move(cached));
+  // its stored verdict is the insertion-time check's (an infeasible request fails fast
+  // here without re-searching).
+  TOFU_RETURN_IF_ERROR(cached.verdict);
+  cached.response.from_cache = true;
+  return Result<PartitionResponse>(std::move(cached.response));
 }
 
 Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& request,
@@ -484,13 +482,15 @@ Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& reques
   // every coalesced rider; it is filled on the entry's first serve, not here.
   response.plan_json = std::make_shared<PlanRender>();
 
-  // Cache before the budget check: the search is the expensive part, and a repeated
-  // identical (infeasible) request should fail fast from the cache instead of
-  // re-proving infeasibility. Insert overwrites a stale collision entry (latest graph
-  // wins); per-shard LRU eviction keeps a long-lived session bounded.
-  cache_.Insert(key, response);
-  TOFU_RETURN_IF_ERROR(BudgetCheck(graph, response, request.memory_budget_bytes,
-                                   topology_.memory_bytes_per_worker));
+  // Cache even a plan that fails the budget check: the search is the expensive part,
+  // and a repeated identical (infeasible) request should fail fast from the cache,
+  // with the verdict stored beside the plan, instead of re-proving infeasibility.
+  // Insert overwrites a stale collision entry (latest graph wins); per-shard LRU
+  // eviction keeps a long-lived session bounded.
+  Status verdict = BudgetCheck(graph, response, request.memory_budget_bytes,
+                               topology_.memory_bytes_per_worker);
+  cache_.Insert(key, CachedPlan{response, verdict});
+  TOFU_RETURN_IF_ERROR(verdict);
   return response;
 }
 
@@ -528,7 +528,14 @@ Result<std::vector<FrontierPoint>> Session::MemoryFrontier(
 
 void Session::InsertPlanForTesting(const PartitionRequest& request,
                                    PartitionResponse response) {
-  cache_.Insert(CacheKey(request), std::move(response));
+  // A plan planted for another graph never validates, so it is never served and its
+  // verdict is never read; the budget check would index it with this graph's ids.
+  Status verdict = Status::Ok();
+  if (ValidatePlanForGraph(*request.graph, response.plan).ok()) {
+    verdict = BudgetCheck(*request.graph, response, request.memory_budget_bytes,
+                          topology_.memory_bytes_per_worker);
+  }
+  cache_.Insert(CacheKey(request), CachedPlan{std::move(response), std::move(verdict)});
 }
 
 }  // namespace tofu

@@ -251,8 +251,10 @@ class Session {
   // A hit builds the key (GraphSignature is memoized on the graph, so this does not
   // rehash it), copies the cached response out of its shard, and re-validates the plan
   // against the request's graph: one ValidatePlanForGraph pass, linear in steps x
-  // (tensors + ops), that looks each op's registry entry up once. A plan that fails it
-  // (a signature collision) is dropped and the request falls through to a fresh search.
+  // (tensors + ops), that looks each op's registry entry up at most once, and not at all
+  // for an op whose semantics the graph already memoized (a graph this session searched).
+  // A plan that fails it (a signature collision) is dropped and the request falls
+  // through to a fresh search.
   //
   // Never aborts on user error:
   //   * kInvalidArgument -- null graph, or a topology with < 1 worker;
@@ -282,10 +284,10 @@ class Session {
   // Exposed for tests and diagnostics; safe to read concurrently.
   StepTableCache::Stats step_table_cache_stats() const { return step_tables_.stats(); }
 
-  // Test-only: plants `response` in the plan cache under `request`'s key, exactly as a
-  // fresh search would have. Exists so the collision fall-through (a cached plan that
-  // does not validate against the request's graph) can be exercised without forging a
-  // 64-bit GraphSignature collision.
+  // Test-only: plants `response` in the plan cache under `request`'s key, with its
+  // budget verdict, exactly as a fresh search would have. Exists so the collision
+  // fall-through (a cached plan that does not validate against the request's graph) can
+  // be exercised without forging a 64-bit GraphSignature collision.
   void InsertPlanForTesting(const PartitionRequest& request, PartitionResponse response);
 
   // Test-only: `hook` runs on the searching (leader) thread right before each fresh
@@ -305,19 +307,29 @@ class Session {
   };
 
   std::string CacheKey(const PartitionRequest& request) const;
+  // One plan-cache entry: the response as searched, and its budget verdict. The
+  // verdict depends only on the plan, the graph, the request budget (all fixed by the
+  // key) and this session's device memory, so it is worked out once, at insertion: a
+  // hit on an exhausted budget returns the stored refusal instead of re-running the
+  // liveness pass its message quotes.
+  struct CachedPlan {
+    PartitionResponse response;
+    Status verdict;
+  };
+
   // One cache hit, shared by the fast path and the leader's double-check: re-validates
-  // the cached plan against the request's graph, counts the hit, replays the budget
-  // verdict and marks the response from_cache. nullopt (nothing counted) when the plan
-  // does not validate -- a signature collision the caller handles.
+  // the cached plan against the request's graph, counts the hit, returns the stored
+  // budget verdict and marks the response from_cache. nullopt (nothing counted) when the
+  // plan does not validate -- a signature collision the caller handles.
   std::optional<Result<PartitionResponse>> ServeHit(const PartitionRequest& request,
-                                                    PartitionResponse cached);
+                                                    CachedPlan cached);
   // The full miss path: registry scan, the requested algorithm's search, memory
   // accounting, cache insertion, budget verdict. Runs on the leader thread only.
   Result<PartitionResponse> SearchAndCache(const PartitionRequest& request,
                                            const std::string& key);
 
   DeviceTopology topology_;
-  ShardedLruCache<PartitionResponse> cache_;
+  ShardedLruCache<CachedPlan> cache_;
   // Step-compilation cache shared by every search this session runs (thread-safe; the
   // DP only reads immutable published entries). Sized generously: one entry per
   // (graph, shapes, ways) step, and a recursion over a deep model touches tens.

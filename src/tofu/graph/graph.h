@@ -75,10 +75,11 @@ struct OpNode {
 //
 // The graph memoizes its GraphSignature: the first read computes it, later reads return
 // the stored value. Every mutator -- AddInput/AddParam/AddOptState, AddOp, and the
-// non-const tensor(id)/op(id) accessors -- clears the memo. The memo cannot see writes
-// made through a reference obtained BEFORE a signature read, so do not hold a mutable
-// TensorNode&/OpNode& across a GraphSignature call (or anything that makes one: a
-// Session::Partition, a search with a step-table cache): re-fetch it after the read.
+// non-const tensor(id)/op(id) accessors -- clears the memo; op(id) also clears that
+// op's memoized SemanticsOf. The memos cannot see writes made through a reference
+// obtained BEFORE a read, so do not hold a mutable TensorNode&/OpNode& across a
+// GraphSignature call (or anything that makes one: a Session::Partition, a search with
+// a step-table cache): re-fetch it after the read.
 class Graph {
  public:
   Graph() = default;
@@ -110,6 +111,7 @@ class Graph {
   const OpNode& op(OpId id) const { return ops_[static_cast<size_t>(id)]; }
   OpNode& op(OpId id) {
     signature_.Clear();
+    semantics_cache_[static_cast<size_t>(id)].store(nullptr, std::memory_order_relaxed);
     return ops_[static_cast<size_t>(id)];
   }
   const std::vector<TensorNode>& tensors() const { return tensors_; }
@@ -120,11 +122,17 @@ class Graph {
 
   // Cached TDL semantics (description + discovered strategies) for an op instance.
   // Resolved through the registry once per op (semantics depend only on the op's type,
-  // attributes and input ranks, all fixed at construction) and memoized per op id --
-  // the partition search asks for these per step, on its hottest path. Safe to call
+  // attributes and input ranks) and memoized per op id -- the partition search asks for
+  // these per step, on its hottest path. The non-const op(id) clears the op's memo, so
+  // an op rewritten through it is resolved again. Safe to call
   // from concurrent readers of a fully built graph (the Session serving path searches
   // one shared graph from many threads); mutation (AddOp etc.) is not.
   const OpSemantics& SemanticsOf(const OpNode& op) const;
+  // SemanticsOf(op(id)) if it has already been resolved, else null. A resolved op's
+  // type is registered: the registry never drops a type.
+  const OpSemantics* ResolvedSemantics(OpId id) const {
+    return semantics_cache_[static_cast<size_t>(id)].load(std::memory_order_acquire);
+  }
 
   // Aggregate statistics.
   std::int64_t TotalParamBytes() const;

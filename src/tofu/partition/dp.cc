@@ -19,7 +19,7 @@ namespace tofu {
 
 std::string DpOptions::Fingerprint() const {
   // num_threads and step_table_cache are deliberately omitted: neither can change the
-  // returned plan (the fields' contracts above), so keying on them would only cause
+  // returned plan (the fields' contracts in dp.h), so keying on them would only cause
   // spurious cache misses. prune_dominated is included for its SearchStats (the plan
   // itself is provably invariant).
   return StrFormat("dp=%d,%lld,%d;", allow_reduction_strategies ? 1 : 0,
@@ -412,7 +412,6 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
 
   SearchEngineOptions engine_options;
   engine_options.max_states = options.max_states;
-  engine_options.num_threads = options.num_threads;
   engine_options.prune_dominated = options.prune_dominated;
   engine_options.memory_budget = static_cast<double>(memory_budget_bytes);
   if (cached != nullptr) {

@@ -38,8 +38,8 @@ struct DpOptions {
   // at the default, against about a second at 1 << 14 (docs/search.md, "Over-cap
   // searches").
   std::int64_t max_states = 1 << 22;
-  // Threads for state expansion (see SearchEngineOptions::num_threads). 0 (the default)
-  // auto-sizes from hardware_concurrency; any value yields byte-identical plans.
+  // Ignored: every search runs on the calling thread (partition/search_engine.h). Kept
+  // only because existing callers still set it; ROADMAP tracks its removal.
   int num_threads = 0;
   // Dominated-option pruning in the engine's dense-lattice searches (see
   // SearchEngineOptions::prune_dominated): provably plan-preserving, on by default;

@@ -489,14 +489,17 @@ class OpStrategyCounts {
       : graph_(graph), counts_(static_cast<size_t>(graph.num_ops()), kUnresolved) {}
 
   // The number of strategies TDL discovered for op `o`, or kUnregistered when its type
-  // has no registry entry.
+  // has no registry entry. An op whose semantics the graph already memoized skips the
+  // registry lookup, which dominates a plan-cache hit on a graph the search resolved.
   int Get(OpId o) {
     int& count = counts_[static_cast<size_t>(o)];
     if (count == kUnresolved) {
-      const OpNode& op = graph_.op(o);
-      count = OpRegistry::Get().Has(op.type)
-                  ? static_cast<int>(graph_.SemanticsOf(op).strategies.size())
-                  : kUnregistered;
+      const OpSemantics* semantics = graph_.ResolvedSemantics(o);
+      if (semantics == nullptr && OpRegistry::Get().Has(graph_.op(o).type)) {
+        semantics = &graph_.SemanticsOf(graph_.op(o));
+      }
+      count = semantics != nullptr ? static_cast<int>(semantics->strategies.size())
+                                   : kUnregistered;
     }
     return count;
   }

@@ -4,12 +4,10 @@
 #include <chrono>
 #include <functional>
 #include <limits>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "tofu/util/logging.h"
-#include "tofu/util/thread_pool.h"
 
 namespace tofu {
 namespace {
@@ -18,16 +16,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// 0 = auto: one thread per hardware context (the pool clamps to hardware_concurrency
-// anyway; this just makes the auto default explicit when the query fails).
-int ResolveThreads(int requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 // Saturating product guard for the static frontier-width precomputation.
@@ -50,10 +38,8 @@ constexpr std::int64_t kNoRank = std::numeric_limits<std::int64_t>::max();
 struct SearchEngine::Impl {
   SearchSpace space;
   SearchEngineOptions options;
-  ThreadPool pool;
 
-  Impl(SearchSpace s, SearchEngineOptions o)
-      : space(std::move(s)), options(o), pool(ResolveThreads(o.num_threads)) {
+  Impl(SearchSpace s, SearchEngineOptions o) : space(std::move(s)), options(o) {
     for (int n : space.slot_num_options) {
       TOFU_CHECK_GE(n, 1);
       TOFU_CHECK_LE(n, 65536);  // projection winners are stored in at most 16 bits
@@ -444,7 +430,6 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
     bytes.assign(1, base_bytes);
     rank.assign(1, 0);
   }
-  std::vector<std::int64_t> shard_pruned(static_cast<size_t>(pool.num_threads()));
 
   for (int g = 0; g < num_groups; ++g) {
     const std::vector<int>& touched = sp.group_slots[static_cast<size_t>(g)];
@@ -471,46 +456,38 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
         const std::int64_t n_in = static_cast<std::int64_t>(cost.size());
         scratch.resize(static_cast<size_t>(n_in) * static_cast<size_t>(m));
         if (!track) {
-          pool.ParallelFor(n_in, [&](int, std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const double v = cost[static_cast<size_t>(i)];
-              double* out = scratch.data() + static_cast<size_t>(i) * static_cast<size_t>(m);
-              for (int c = 0; c < m; ++c) {
-                out[c] = v;
-              }
+          for (std::int64_t i = 0; i < n_in; ++i) {
+            const double v = cost[static_cast<size_t>(i)];
+            double* out = scratch.data() + static_cast<size_t>(i) * static_cast<size_t>(m);
+            for (int c = 0; c < m; ++c) {
+              out[c] = v;
             }
-          });
+          }
         } else {
           const std::vector<double>& ob = sp.slot_option_bytes[static_cast<size_t>(s)];
           const double rest_min = remaining_min - slot_min_bytes[static_cast<size_t>(s)];
           remaining_min = rest_min;
           scratch_bytes.resize(scratch.size());
           scratch_rank.resize(scratch.size());
-          std::fill(shard_pruned.begin(), shard_pruned.end(), 0);
-          pool.ParallelFor(n_in, [&](int shard, std::int64_t lo, std::int64_t hi) {
-            std::int64_t pruned = 0;
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const double v = cost[static_cast<size_t>(i)];
-              const double b = bytes[static_cast<size_t>(i)];
-              const size_t base = static_cast<size_t>(i) * static_cast<size_t>(m);
-              for (int c = 0; c < m; ++c) {
-                scratch_rank[base + static_cast<size_t>(c)] = rank[static_cast<size_t>(i)] * m + c;
-                const double child_bytes = b + ob[static_cast<size_t>(keep[static_cast<size_t>(c)])];
-                if (child_bytes + rest_min > budget) {
-                  scratch[base + static_cast<size_t>(c)] = kDead;
-                  scratch_bytes[base + static_cast<size_t>(c)] = kDead;
-                  pruned += b != kDead ? 1 : 0;
-                } else {
-                  scratch[base + static_cast<size_t>(c)] = v;
-                  scratch_bytes[base + static_cast<size_t>(c)] = child_bytes;
-                }
+          std::int64_t pruned = 0;
+          for (std::int64_t i = 0; i < n_in; ++i) {
+            const double v = cost[static_cast<size_t>(i)];
+            const double b = bytes[static_cast<size_t>(i)];
+            const size_t base = static_cast<size_t>(i) * static_cast<size_t>(m);
+            for (int c = 0; c < m; ++c) {
+              scratch_rank[base + static_cast<size_t>(c)] = rank[static_cast<size_t>(i)] * m + c;
+              const double child_bytes = b + ob[static_cast<size_t>(keep[static_cast<size_t>(c)])];
+              if (child_bytes + rest_min > budget) {
+                scratch[base + static_cast<size_t>(c)] = kDead;
+                scratch_bytes[base + static_cast<size_t>(c)] = kDead;
+                pruned += b != kDead ? 1 : 0;
+              } else {
+                scratch[base + static_cast<size_t>(c)] = v;
+                scratch_bytes[base + static_cast<size_t>(c)] = child_bytes;
               }
             }
-            shard_pruned[static_cast<size_t>(shard)] = pruned;
-          });
-          for (std::int64_t pruned : shard_pruned) {
-            result.stats.memory_pruned_states += pruned;
           }
+          result.stats.memory_pruned_states += pruned;
           std::swap(bytes, scratch_bytes);
           std::swap(rank, scratch_rank);
         }
@@ -543,12 +520,9 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
         // Every touched slot is fixed; with kept[0] == 0 for all of them (option 0 is
         // never dominated), the single gathered cell is the compact table's first.
         const double v = table[0];
-        pool.ParallelFor(static_cast<std::int64_t>(cost.size()),
-                         [&](int, std::int64_t lo, std::int64_t hi) {
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             cost[static_cast<size_t>(i)] += v;
-                           }
-                         });
+        for (double& c : cost) {
+          c += v;
+        }
       } else {
         std::sort(ax.begin(), ax.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -558,33 +532,24 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
           prefix *= axes[static_cast<size_t>(j)].size;
         }
         const std::int64_t run = static_cast<std::int64_t>(cost.size()) / prefix;
-        pool.ParallelFor(prefix, [&](int, std::int64_t lo, std::int64_t hi) {
-          std::vector<int> coord(static_cast<size_t>(pmax) + 1, 0);
-          std::int64_t r = lo;
+        std::vector<int> coord(static_cast<size_t>(pmax) + 1, 0);
+        for (std::int64_t m = 0; m < prefix; ++m) {
+          std::int64_t tidx = 0;
+          for (const auto& a : ax) {
+            tidx += static_cast<std::int64_t>(coord[static_cast<size_t>(a.first)]) * a.second;
+          }
+          const double v = table[static_cast<size_t>(tidx)];
+          double* c = cost.data() + static_cast<size_t>(m) * static_cast<size_t>(run);
+          for (std::int64_t x = 0; x < run; ++x) {
+            c[x] += v;  // contiguous: the auto-vectorized inner loop
+          }
           for (int j = pmax; j >= 0; --j) {
-            coord[static_cast<size_t>(j)] =
-                static_cast<int>(r % axes[static_cast<size_t>(j)].size);
-            r /= axes[static_cast<size_t>(j)].size;
+            if (++coord[static_cast<size_t>(j)] < axes[static_cast<size_t>(j)].size) {
+              break;
+            }
+            coord[static_cast<size_t>(j)] = 0;
           }
-          for (std::int64_t m = lo; m < hi; ++m) {
-            std::int64_t tidx = 0;
-            for (const auto& a : ax) {
-              tidx += static_cast<std::int64_t>(coord[static_cast<size_t>(a.first)]) *
-                      a.second;
-            }
-            const double v = table[static_cast<size_t>(tidx)];
-            double* c = cost.data() + static_cast<size_t>(m) * static_cast<size_t>(run);
-            for (std::int64_t x = 0; x < run; ++x) {
-              c[x] += v;  // contiguous: the auto-vectorized inner loop
-            }
-            for (int j = pmax; j >= 0; --j) {
-              if (++coord[static_cast<size_t>(j)] < axes[static_cast<size_t>(j)].size) {
-                break;
-              }
-              coord[static_cast<size_t>(j)] = 0;
-            }
-          }
-        });
+        }
       }
       result.stats.charge_seconds += SecondsSince(t0);
     }
@@ -621,64 +586,62 @@ SearchEngine::Result SearchEngine::Impl::Sweep(const SearchSpace& sp,
         event.slot = axis.slot;
         auto reduce = [&](auto* winners) {
           using Winner = std::remove_pointer_t<decltype(winners)>;
-          pool.ParallelFor(out_size / st, [&](int, std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t outer = lo; outer < hi; ++outer) {
-              const size_t in_base = static_cast<size_t>(outer * n * st);
-              const size_t out_base = static_cast<size_t>(outer * st);
-              const double* in = cost.data() + in_base;
-              double* out = scratch.data() + out_base;
-              Winner* win = winners + out_base;
-              for (std::int64_t x = 0; x < st; ++x) {
-                out[x] = in[x];
-                win[x] = 0;
-              }
-              if (!track) {
-                for (std::int64_t c = 1; c < n; ++c) {
-                  const double* inc = in + static_cast<size_t>(c * st);
-                  for (std::int64_t x = 0; x < st; ++x) {
-                    // Strict less: ties keep the lowest coordinate.
-                    if (inc[x] < out[x]) {
-                      out[x] = inc[x];
-                      win[x] = static_cast<Winner>(c);
-                    }
-                  }
-                }
-                continue;
-              }
-              const double* in_b = bytes.data() + in_base;
-              const std::int64_t* in_r = rank.data() + in_base;
-              const std::int64_t* in_w = win_rank.data() + in_base;
-              double* out_b = scratch_bytes.data() + out_base;
-              std::int64_t* out_r = scratch_rank.data() + out_base;
-              std::int64_t* out_w = scratch_win_rank.data() + out_base;
-              for (std::int64_t x = 0; x < st; ++x) {
-                out_b[x] = in_b[x];
-                out_r[x] = in_b[x] != kDead ? in_r[x] : kNoRank;
-                out_w[x] = in_w[x];
-              }
+          for (std::int64_t outer = 0; outer < out_size / st; ++outer) {
+            const size_t in_base = static_cast<size_t>(outer * n * st);
+            const size_t out_base = static_cast<size_t>(outer * st);
+            const double* in = cost.data() + in_base;
+            double* out = scratch.data() + out_base;
+            Winner* win = winners + out_base;
+            for (std::int64_t x = 0; x < st; ++x) {
+              out[x] = in[x];
+              win[x] = 0;
+            }
+            if (!track) {
               for (std::int64_t c = 1; c < n; ++c) {
-                const size_t off = static_cast<size_t>(c * st);
+                const double* inc = in + static_cast<size_t>(c * st);
                 for (std::int64_t x = 0; x < st; ++x) {
-                  const double cc = in[off + x];
-                  const double cb = in_b[off + x];
-                  if (cb == kDead) {
-                    continue;
-                  }
-                  out_r[x] = std::min(out_r[x], in_r[off + x]);
-                  // Equal cost prefers the lighter cell: any completion feasible for the
-                  // heavier one is feasible for it. Full ties go to the lower rank.
-                  if (cc < out[x] ||
-                      (cc == out[x] &&
-                       (cb < out_b[x] || (cb == out_b[x] && in_w[off + x] < out_w[x])))) {
-                    out[x] = cc;
-                    out_b[x] = cb;
-                    out_w[x] = in_w[off + x];
+                  // Strict less: ties keep the lowest coordinate.
+                  if (inc[x] < out[x]) {
+                    out[x] = inc[x];
                     win[x] = static_cast<Winner>(c);
                   }
                 }
               }
+              continue;
             }
-          });
+            const double* in_b = bytes.data() + in_base;
+            const std::int64_t* in_r = rank.data() + in_base;
+            const std::int64_t* in_w = win_rank.data() + in_base;
+            double* out_b = scratch_bytes.data() + out_base;
+            std::int64_t* out_r = scratch_rank.data() + out_base;
+            std::int64_t* out_w = scratch_win_rank.data() + out_base;
+            for (std::int64_t x = 0; x < st; ++x) {
+              out_b[x] = in_b[x];
+              out_r[x] = in_b[x] != kDead ? in_r[x] : kNoRank;
+              out_w[x] = in_w[x];
+            }
+            for (std::int64_t c = 1; c < n; ++c) {
+              const size_t off = static_cast<size_t>(c * st);
+              for (std::int64_t x = 0; x < st; ++x) {
+                const double cc = in[off + x];
+                const double cb = in_b[off + x];
+                if (cb == kDead) {
+                  continue;
+                }
+                out_r[x] = std::min(out_r[x], in_r[off + x]);
+                // Equal cost prefers the lighter cell: any completion feasible for the
+                // heavier one is feasible for it. Full ties go to the lower rank.
+                if (cc < out[x] ||
+                    (cc == out[x] &&
+                     (cb < out_b[x] || (cb == out_b[x] && in_w[off + x] < out_w[x])))) {
+                  out[x] = cc;
+                  out_b[x] = cb;
+                  out_w[x] = in_w[off + x];
+                  win[x] = static_cast<Winner>(c);
+                }
+              }
+            }
+          }
         };
         if (n <= 256) {
           event.winners.resize(static_cast<size_t>(out_size));

@@ -22,10 +22,9 @@
 // under any completion are dead (+inf cost), and projections prefer lighter cells on
 // cost ties.
 //
-// Branching, charging and projection can be sharded across a small thread pool
-// (SearchEngineOptions::num_threads, 0 = auto-size from hardware_concurrency). Sharding
-// is deterministic -- each cell's result depends only on its own inputs -- so any thread
-// count yields byte-identical plans (docs/search.md, "The dense lattice").
+// The whole search runs on the calling thread. The lattices of real steps are small
+// (no phase of the Table 1 models reaches 2^15 cells), and one thread-pool hand-off
+// costs more than such a phase's work (docs/search.md, "Threading model").
 #ifndef TOFU_PARTITION_SEARCH_ENGINE_H_
 #define TOFU_PARTITION_SEARCH_ENGINE_H_
 
@@ -54,7 +53,7 @@ struct SearchSpace {
 
 // Per-group dense cost tables of one search, shareable across searches of
 // the same space (the values depend only on the group cost function, never on budgets,
-// bandwidths, or thread counts). groups[g] holds exactly group g's mixed-radix cell
+// or bandwidths). groups[g] holds exactly group g's mixed-radix cell
 // values in the engine's canonical enumeration order. Immutable once published -- safe
 // to share across threads and cache entries.
 struct GroupCostTables {
@@ -69,11 +68,6 @@ struct SearchEngineOptions {
   // counts, imports and exports none, and reports SearchStats::exact false. The cap
   // bounds the frontier width only, not the fill work of the group tables under it.
   std::int64_t max_states = 1 << 22;
-  // Threads for state expansion (branch/charge/project sharding). 0 (the default)
-  // auto-sizes from std::thread::hardware_concurrency(); 1 = serial. Any value yields
-  // byte-identical results. Fills are never called concurrently regardless of this
-  // setting.
-  int num_threads = 0;
   // Dominated-option pruning (unbudgeted searches only): after the hoisted
   // table fills, option o of slot s is dropped when some option o' < o is pointwise no
   // more expensive in EVERY group table touching s and (when slot_option_bytes is

@@ -113,7 +113,6 @@ Result<PartitionResponse> PlanService::Partition(const ServeRequest& request) {
   partition.algorithm = request.algorithm;
   partition.memory_budget_bytes = request.memory_budget_bytes;
   partition.options.memory_policy = request.memory_policy;
-  partition.options.dp.num_threads = options_.search_threads;
   return SessionFor(request.topology).Partition(partition);
 }
 

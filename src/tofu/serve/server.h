@@ -35,10 +35,8 @@ namespace tofu {
 struct PlanServiceOptions {
   size_t max_cached_plans = 256;  // per session (per distinct topology)
   size_t cache_shards = 8;
-  // Threads per partition search (DpOptions::num_threads). 0 (the default) auto-sizes
-  // from hardware_concurrency; any value yields byte-identical plans, so this is purely
-  // a latency/contention knob for deployments that pin search parallelism (e.g. one
-  // search thread when request-level parallelism already saturates the machine).
+  // Ignored, like DpOptions::num_threads: each partition search runs on the thread that
+  // serves its request. Kept only because existing callers still set it.
   int search_threads = 0;
 };
 

@@ -3,9 +3,8 @@
 // Work is always split into exactly num_threads() contiguous shards
 // ([i*n/T, (i+1)*n/T) for shard i), so any result assembled shard-by-shard in shard
 // order is independent of OS scheduling -- and identical to the single-threaded result
-// when each shard's work is order-independent within the shard. The partition search
-// engine relies on this to make `num_threads=4` produce byte-identical plans to
-// `num_threads=1`.
+// when each shard's work is order-independent within the shard. StreamServer relies on
+// this to write a batch's responses in input order at any thread count.
 #ifndef TOFU_UTIL_THREAD_POOL_H_
 #define TOFU_UTIL_THREAD_POOL_H_
 

@@ -49,6 +49,19 @@ TEST(Graph, SemanticsOfUsesInstanceRanks) {
   EXPECT_TRUE(sem.desc.elementwise);
 }
 
+TEST(Graph, MutableOpAccessClearsItsMemoizedSemantics) {
+  Graph g;
+  TensorId x = g.AddInput("x", {8, 16});
+  TensorId w = g.AddParam("w", {16, 32});
+  const OpId matmul = g.tensor(g.AddOp("matmul", {}, {x, w})).producer;
+  const Graph& view = g;
+  EXPECT_EQ(view.ResolvedSemantics(matmul), nullptr);
+  const OpSemantics& sem = view.SemanticsOf(view.op(matmul));
+  EXPECT_EQ(view.ResolvedSemantics(matmul), &sem);
+  g.op(matmul).type = "relu";  // a write the memo must not outlive
+  EXPECT_EQ(view.ResolvedSemantics(matmul), nullptr);
+}
+
 TEST(Traversal, TopoOrderRespectsDependencies) {
   Graph g;
   TensorId x = g.AddInput("x", {8, 16});

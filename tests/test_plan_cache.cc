@@ -232,6 +232,32 @@ TEST(SessionPlanCache, CollisionFallsThroughToFreshSearchAndHeals) {
   EXPECT_EQ(session.cache_stats().collisions, 1);
 }
 
+// A planted plan for another graph, under a budget it exceeds: the budget verdict must
+// not be worked out against the request's graph (its liveness pass would index the
+// foreign plan with this graph's ids), and the request still searches afresh.
+TEST(SessionPlanCache, BudgetedCollisionFallsThroughToFreshSearch) {
+  ModelGraph model = CacheMlp();
+  ModelGraph other = BuildMlp(MlpConfig{8, {32, 16}, true});
+  Session session(DeviceTopology::Uniform(4));
+
+  PartitionRequest request;
+  request.graph = &model.graph;
+  request.memory_budget_bytes = 1;  // nothing fits, the planted plan included
+
+  Session scratch(DeviceTopology::Uniform(4));
+  PartitionRequest other_request;
+  other_request.graph = &other.graph;
+  Result<PartitionResponse> other_plan = scratch.Partition(other_request);
+  ASSERT_TRUE(other_plan.ok()) << other_plan.status().ToString();
+  ASSERT_GT(other_plan->peak_shard_bytes, request.memory_budget_bytes);
+  session.InsertPlanForTesting(request, *other_plan);
+
+  Result<PartitionResponse> response = session.Partition(request);
+  EXPECT_EQ(response.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(session.cache_stats().collisions, 1);
+  EXPECT_EQ(session.cache_stats().misses, 1);
+}
+
 TEST(SessionPlanCache, EvictionsSurfaceInStats) {
   ModelGraph a = BuildMlp(MlpConfig{16, {64, 32, 10}, true});
   ModelGraph b = BuildMlp(MlpConfig{16, {96, 48, 10}, true});

@@ -1,6 +1,5 @@
 // Search-engine tests: golden cost equivalence against the pre-refactor string-keyed
-// DP (recorded values), byte-identical plans across thread counts, over-cap
-// degradation, SearchStats plumbing, direct engine unit cases, the plan-invariance
+// DP (recorded values), over-cap degradation, SearchStats plumbing, direct engine unit cases, the plan-invariance
 // contracts of dominated-option pruning and cost-table reuse (pinned plan digests), and
 // an exhaustive-search oracle on seeded tiny spaces.
 #include <gtest/gtest.h>
@@ -162,29 +161,6 @@ TEST(SearchEngineGolden, MatchesRecordedCosts) {
     // Never worse than the pre-refactor engine (equal-cost ties may resolve cheaper).
     EXPECT_LE(plan.total_comm_bytes, row.pre_refactor + 1.0)
         << row.model << " x" << row.workers << " " << AlgorithmName(row.algo);
-  }
-}
-
-TEST(SearchEngineThreads, FourThreadsYieldByteIdenticalPlans) {
-  ModelGraph models[] = {GoldenMlp(), GoldenRnn(), GoldenTransformer()};
-  for (const ModelGraph& model : models) {
-    PartitionOptions serial;
-    serial.dp.num_threads = 1;
-    PartitionOptions threaded;
-    threaded.dp.num_threads = 4;
-    PartitionPlan a = RecursivePartition(model.graph, 8, serial);
-    PartitionPlan b = RecursivePartition(model.graph, 8, threaded);
-    ASSERT_EQ(a.steps.size(), b.steps.size());
-    for (size_t i = 0; i < a.steps.size(); ++i) {
-      EXPECT_EQ(a.steps[i].tensor_cut, b.steps[i].tensor_cut) << "step " << i;
-      EXPECT_EQ(a.steps[i].op_strategy, b.steps[i].op_strategy) << "step " << i;
-      EXPECT_DOUBLE_EQ(a.steps[i].comm_bytes, b.steps[i].comm_bytes) << "step " << i;
-    }
-    EXPECT_DOUBLE_EQ(a.total_comm_bytes, b.total_comm_bytes);
-    // Search effort is also identical: threading shards work, it does not change it.
-    EXPECT_EQ(a.search_stats.states_explored, b.search_stats.states_explored);
-    EXPECT_EQ(a.search_stats.max_frontier_states, b.search_stats.max_frontier_states);
-    EXPECT_EQ(a.search_stats.cost_table_entries, b.search_stats.cost_table_entries);
   }
 }
 
@@ -438,25 +414,6 @@ TEST(SearchEngineUnit, RoundingAtTheBudgetEdgeReportsInsteadOfAborting) {
   }
 }
 
-TEST(SearchEngineThreads, BudgetedSearchIsThreadCountInvariant) {
-  ModelGraph model = GoldenMlp();
-  PartitionOptions serial;
-  serial.memory_budget_bytes = 3ll << 20;  // tight for this MLP: the pruning engages
-  serial.dp.num_threads = 1;
-  PartitionOptions threaded = serial;
-  threaded.dp.num_threads = 4;
-  PartitionPlan a = RecursivePartition(model.graph, 8, serial);
-  PartitionPlan b = RecursivePartition(model.graph, 8, threaded);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].tensor_cut, b.steps[i].tensor_cut) << "step " << i;
-    EXPECT_EQ(a.steps[i].op_strategy, b.steps[i].op_strategy) << "step " << i;
-    EXPECT_DOUBLE_EQ(a.steps[i].peak_shard_bytes, b.steps[i].peak_shard_bytes);
-  }
-  EXPECT_DOUBLE_EQ(a.total_comm_bytes, b.total_comm_bytes);
-  EXPECT_EQ(a.search_stats.memory_pruned_states, b.search_stats.memory_pruned_states);
-}
-
 // ------------------------------------------------- dominated-option pruning
 // The pruning contract (SearchEngineOptions::prune_dominated, docs/search.md): plans,
 // costs, and every serialized SearchStats counter are invariant; only the diagnostic
@@ -474,20 +431,15 @@ TEST(SearchEngineDominance, PruningNeverChangesThePlanGoldens) {
   ModelGraph model = GoldenWResNet();
   for (const Row& row : kRows) {
     for (bool prune : {true, false}) {
-      for (int threads : {1, 4}) {
-        PartitionOptions options;
-        options.dp.prune_dominated = prune;
-        options.dp.num_threads = threads;
-        PartitionPlan plan = RecursivePartition(model.graph, row.workers, options);
-        EXPECT_EQ(PlanDigest(plan), row.digest)
-            << "workers=" << row.workers << " prune=" << prune
-            << " threads=" << threads;
-        if (prune) {
-          EXPECT_GT(plan.search_stats.dominated_pruned_states, 0)
-              << "workers=" << row.workers;
-        } else {
-          EXPECT_EQ(plan.search_stats.dominated_pruned_states, 0);
-        }
+      PartitionOptions options;
+      options.dp.prune_dominated = prune;
+      PartitionPlan plan = RecursivePartition(model.graph, row.workers, options);
+      EXPECT_EQ(PlanDigest(plan), row.digest)
+          << "workers=" << row.workers << " prune=" << prune;
+      if (prune) {
+        EXPECT_GT(plan.search_stats.dominated_pruned_states, 0) << "workers=" << row.workers;
+      } else {
+        EXPECT_EQ(plan.search_stats.dominated_pruned_states, 0);
       }
     }
   }
@@ -636,8 +588,8 @@ TEST(SearchEngineUnit, OverCapBudgetedSearchStaysWithinBudgetOrSaysInfeasible) {
 }
 
 // ------------------------------------------------------ exhaustive oracle
-// Seeded tiny spaces checked against brute force over every assignment, at 1 and 4
-// threads. Without a binding budget the sweep is an exact DP,
+// Seeded tiny spaces checked against brute force over every assignment. Without a
+// binding budget the sweep is an exact DP,
 // and its tie-break is pinned: minimize cost (then bytes when budgeted), and among
 // equal optima take the lexicographically smallest assignment comparing slots in the
 // REVERSE of the projection sequence (slots branch in group order, ascending id within
@@ -804,33 +756,29 @@ TEST(SearchEngineOracle, MatchesExhaustiveSearchOnTinySpaces) {
         }
       }
       tight_cases += exact_rules ? 0 : 1;
-      for (int threads : {1, 4}) {
-        SearchEngineOptions options;
-        options.num_threads = threads;
-        options.memory_budget = budget;
-        options.prune_dominated = seed % 2 == 0;
-        SearchEngine engine(t.space, options);
-        const SearchEngine::Result table =
-            RunCells(engine, [&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
-        const std::string where = "seed " + std::to_string(seed) + " budget " +
-                                  std::to_string(budget) + " threads " +
-                                  std::to_string(threads);
-        ASSERT_TRUE(table.completed) << where;
-        ASSERT_EQ(table.feasible, best != nullptr) << where;
-        if (best == nullptr) {
-          continue;
-        }
-        const std::pair<double, double> got = TinyEvaluate(t, table.slot_option);
-        EXPECT_DOUBLE_EQ(table.best_cost, got.first) << where;
-        if (budget > 0.0) {
-          EXPECT_DOUBLE_EQ(table.best_bytes, got.second) << where;
-          EXPECT_LE(table.best_bytes, budget) << where;
-        }
-        if (exact_rules) {
-          EXPECT_EQ(table.slot_option, *best) << where;
-        } else {
-          EXPECT_GE(table.best_cost, best_eval.first) << where;
-        }
+      SearchEngineOptions options;
+      options.memory_budget = budget;
+      options.prune_dominated = seed % 2 == 0;
+      SearchEngine engine(t.space, options);
+      const SearchEngine::Result table =
+          RunCells(engine, [&t](int g, const int* o) { return TinyGroupCost(t, g, o); });
+      const std::string where = "seed " + std::to_string(seed) + " budget " +
+                                std::to_string(budget);
+      ASSERT_TRUE(table.completed) << where;
+      ASSERT_EQ(table.feasible, best != nullptr) << where;
+      if (best == nullptr) {
+        continue;
+      }
+      const std::pair<double, double> got = TinyEvaluate(t, table.slot_option);
+      EXPECT_DOUBLE_EQ(table.best_cost, got.first) << where;
+      if (budget > 0.0) {
+        EXPECT_DOUBLE_EQ(table.best_bytes, got.second) << where;
+        EXPECT_LE(table.best_bytes, budget) << where;
+      }
+      if (exact_rules) {
+        EXPECT_EQ(table.slot_option, *best) << where;
+      } else {
+        EXPECT_GE(table.best_cost, best_eval.first) << where;
       }
     }
   }

@@ -119,6 +119,25 @@ TEST(Session, InfeasibleBudgetIsResourceExhaustedWithDeficit) {
   EXPECT_EQ(session.cache_stats().misses, 2);  // no re-search
 }
 
+TEST(Session, ExhaustedHitReturnsTheMissRefusalVerbatim) {
+  ModelGraph model = SmallMlp();
+  Session session(DeviceTopology::Uniform(4));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  request.memory_budget_bytes = 1;
+  Result<PartitionResponse> miss = session.Partition(request);
+  Result<PartitionResponse> hit = session.Partition(request);
+  ASSERT_FALSE(miss.ok());
+  ASSERT_FALSE(hit.ok());
+  EXPECT_EQ(miss.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(hit.status().code(), StatusCode::kResourceExhausted);
+  // The stored refusal carries the floor the miss worked out.
+  EXPECT_NE(miss.status().message().find("minimum achievable peak"), std::string::npos);
+  EXPECT_EQ(hit.status().message(), miss.status().message());
+  EXPECT_EQ(session.cache_stats().misses, 1);
+  EXPECT_EQ(session.cache_stats().hits, 1);
+}
+
 TEST(Session, BindingDeviceMemoryBoundIsNamedInTheError) {
   ModelGraph model = SmallMlp();
   DeviceTopology topology = DeviceTopology::Uniform(4);

@@ -23,8 +23,8 @@ constexpr const char* kUsage = R"(usage: tofu-pland [flags] < requests.jsonl > r
 
 Flags:
   --threads=N         worker threads per batch (default 4)
-  --search-threads=N  threads per partition search (default 0 = auto; plans are
-                      byte-identical for any value)
+  --search-threads=N  accepted and ignored: each search runs on the thread
+                      that serves its request
   --batch=N           max requests dispatched per round (default 64)
   --cache-capacity=N  cached plans per topology session (default 256)
   --cache-shards=N    lock shards per plan cache (default 8)
